@@ -2,7 +2,7 @@
 """Validate the metrics records in a BENCH_*.json artifact.
 
 Usage: check_metrics_json.py [--serving] [--memory N] [--compose-p95 RATIO]
-       BENCH_query_kernel.json
+       [--compose-p95-max-ns NS] BENCH_query_kernel.json
 
 Checks, in order:
   1. the file is a JSON array whose first record is build provenance,
@@ -38,8 +38,14 @@ With --compose-p95 RATIO (nightly, for BENCH_serving.json), additionally:
      stays within RATIO of the locality-friendly policy at equal shard
      count.
 
+With --compose-p95-max-ns NS (nightly, for BENCH_serving.json), additionally:
+ 12. the {"record": "compose_p95"} record for range_ordered exists with
+     samples and its p95_ns <= NS — an absolute pin on the policy the
+     ratio gate divides by, so the ratio cannot pass because range_ordered
+     got slow.
+
 With --memory N (for BENCH_serving.json from an N-shard run), additionally:
-  12. a {"record": "memory"} summary exists whose
+  13. a {"record": "memory"} summary exists whose
       aggregate_shard_index_bytes / whole_index_bytes <= 1.3 / N — the
       sharded deployment actually divides index memory instead of
       duplicating it.
@@ -159,6 +165,23 @@ def check_compose_p95(path: str, records: list, ratio: float) -> None:
           f"{p95['range_ordered']} ns = {actual:.2f}x (bound {ratio:.2f}x)")
 
 
+def check_compose_p95_max(path: str, records: list, max_ns: int) -> None:
+    """Nightly pin: the range_ordered composed-probe p95 stays <= max_ns."""
+    recs = [r for r in records if r.get("record") == "compose_p95"
+            and r.get("policy") == "range_ordered"]
+    if not recs:
+        fail(f"{path}: no compose_p95 record for policy 'range_ordered'")
+    for rec in recs:
+        if rec.get("samples", 0) <= 0:
+            fail(f"{path}: compose_p95 record for 'range_ordered' has no "
+                 "histogram samples")
+        p95 = rec.get("p95_ns", 0)
+        if p95 > max_ns:
+            fail(f"{path}: composed-probe p95 under range_ordered is "
+                 f"{p95} ns; bound is {max_ns} ns")
+        print(f"compose_p95: range_ordered {p95} ns (bound {max_ns} ns)")
+
+
 def check_memory(path: str, records: list, num_shards: int) -> None:
     """The ~1/N memory-scaling acceptance gate for BENCH_serving.json."""
     memory = [r for r in records if r.get("record") == "memory"]
@@ -184,6 +207,7 @@ def main() -> None:
     serving = "--serving" in argv
     memory_shards = None
     compose_p95_ratio = None
+    compose_p95_max_ns = None
     args = []
     i = 0
     while i < len(argv):
@@ -202,12 +226,18 @@ def main() -> None:
                 compose_p95_ratio = 0.0
             if compose_p95_ratio <= 0:
                 fail("--compose-p95 requires a positive ratio")
+        elif argv[i] == "--compose-p95-max-ns":
+            i += 1
+            if i >= len(argv) or not argv[i].isdigit() or int(argv[i]) < 1:
+                fail("--compose-p95-max-ns requires a positive integer")
+            compose_p95_max_ns = int(argv[i])
         else:
             args.append(argv[i])
         i += 1
     if len(args) != 1:
         fail("usage: check_metrics_json.py [--serving] [--memory N] "
-             "[--compose-p95 RATIO] <BENCH_*.json>")
+             "[--compose-p95 RATIO] [--compose-p95-max-ns NS] "
+             "<BENCH_*.json>")
     path = args[0]
     try:
         with open(path) as f:
@@ -267,6 +297,8 @@ def main() -> None:
         check_serving(path, records)
     if compose_p95_ratio is not None:
         check_compose_p95(path, records, compose_p95_ratio)
+    if compose_p95_max_ns is not None:
+        check_compose_p95_max(path, records, compose_p95_max_ns)
     if memory_shards is not None:
         check_memory(path, records, memory_shards)
 

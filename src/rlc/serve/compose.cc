@@ -1,7 +1,6 @@
 #include "rlc/serve/compose.h"
 
 #include <algorithm>
-#include <bit>
 #include <chrono>
 
 #include "rlc/obs/metrics.h"
@@ -193,14 +192,12 @@ void CompositionEngine::EnsureScratch(Scratch& scratch, uint32_t j) const {
   grow(scratch.fwd_stamp);
   grow(scratch.acc_stamp);
   grow(scratch.exp_stamp);
-  grow(scratch.exit_stamp);
   // Stamp 0 is reserved for "never visited" (fresh array cells), so a wrap
   // zeroes everything and restarts at 1.
   if (++scratch.stamp == 0) {
     std::fill(scratch.fwd_stamp.begin(), scratch.fwd_stamp.end(), 0u);
     std::fill(scratch.acc_stamp.begin(), scratch.acc_stamp.end(), 0u);
     std::fill(scratch.exp_stamp.begin(), scratch.exp_stamp.end(), 0u);
-    std::fill(scratch.exit_stamp.begin(), scratch.exit_stamp.end(), 0u);
     scratch.stamp = 1;
   }
 }
@@ -228,15 +225,13 @@ const CompositionEngine::BoundaryRow* CompositionEngine::GetRow(
   }
   const uint32_t bstamp = sp.build_counter;
 
-  auto fresh = std::make_unique<BoundaryRow>();
-  fresh->bits.assign(
-      (static_cast<uint64_t>(sp.num_boundary) * j + 63) / 64, 0);
-
   // Intra product BFS from the row's boundary state over the shard's
   // mutated graph (base subgraph + overlay minus removals); every boundary
-  // product state reached — including the start itself — sets its bit.
+  // product state reached — including the start itself — contributes the
+  // heads of its label-matched cross edges as skeleton entries.
   const VertexId b_local = shard.boundary[row_idx / j];
   sp.build_queue.clear();
+  auto fresh = std::make_unique<BoundaryRow>();
   const uint64_t start = static_cast<uint64_t>(b_local) * j + row_idx % j;
   sp.build_stamp[start] = bstamp;
   sp.build_queue.push_back(start);
@@ -244,13 +239,16 @@ const CompositionEngine::BoundaryRow* CompositionEngine::GetRow(
     const uint64_t pid = sp.build_queue[head];
     const VertexId lu = static_cast<VertexId>(pid / j);
     const uint32_t q = static_cast<uint32_t>(pid % j);
-    const int32_t ord = sp.boundary_ord[lu];
-    if (ord >= 0) {
-      const uint64_t bit = static_cast<uint64_t>(ord) * j + q;
-      fresh->bits[bit / 64] |= uint64_t{1} << (bit % 64);
-    }
     const Label l = plan.seq[q];
     const uint32_t nq = (q + 1) % j;
+    if (sp.boundary_ord[lu] >= 0) {
+      for (const LabeledNeighbor& nb :
+           partition_.CrossOutEdges(partition_.GlobalOf(s, lu))) {
+        if (nb.label == l) {
+          fresh->succ.push_back(static_cast<uint64_t>(nb.v) * j + nq);
+        }
+      }
+    }
     const auto visit = [&](VertexId lv) {
       const uint64_t npid = static_cast<uint64_t>(lv) * j + nq;
       if (sp.build_stamp[npid] == bstamp) return;
@@ -264,6 +262,10 @@ const CompositionEngine::BoundaryRow* CompositionEngine::GetRow(
       if (nb.label == l) visit(nb.v);
     }
   }
+  std::vector<uint64_t>& succ = fresh->succ;
+  std::sort(succ.begin(), succ.end());
+  succ.erase(std::unique(succ.begin(), succ.end()), succ.end());
+  succ.shrink_to_fit();
 
   const BoundaryRow* ptr = fresh.get();
   sp.owned.push_back(std::move(fresh));
@@ -304,73 +306,28 @@ ComposeResult CompositionEngine::ComposedQuery(VertexId s, VertexId t,
     result.timed_out = true;
     return result;
   }
-  // Label-matched cross hop out of (u, q): push unseen skeleton entries.
-  const auto emit_cross = [&](VertexId u, uint32_t q) {
-    const Label l = plan.seq[q];
-    const uint32_t nq = (q + 1) % j;
-    for (const LabeledNeighbor& nb : partition_.CrossOutEdges(u)) {
-      if (nb.label != l) continue;
-      const uint64_t npid = pid_of(nb.v, nq);
-      if (scratch.exp_stamp[npid] == stamp) continue;
-      scratch.exp_stamp[npid] = stamp;
-      scratch.skel_queue.push_back(npid);
-    }
-  };
 
-  // Phase 1 — source-shard suffix: forward product BFS from (s, 0) inside
-  // shard(s); cross edges leaving any visited state seed the skeleton.
-  scratch.fwd_queue.clear();
-  scratch.skel_queue.clear();
-  {
-    const ShardInfo& shard = partition_.shard(ss);
-    const DynamicRlcIndex& dyn = *shards_[ss];
-    const uint64_t start = pid_of(s, 0);
-    scratch.fwd_stamp[start] = stamp;
-    scratch.fwd_queue.push_back(start);
-    for (size_t head = 0; head < scratch.fwd_queue.size(); ++head) {
-      if (deadline_hit()) {
-        result.timed_out = true;
-        result.expanded += static_cast<uint32_t>(scratch.fwd_queue.size());
-        return result;
-      }
-      const uint64_t pid = scratch.fwd_queue[head];
-      const VertexId u = static_cast<VertexId>(pid / j);
-      const uint32_t p = static_cast<uint32_t>(pid % j);
-      emit_cross(u, p);
-      const Label l = plan.seq[p];
-      const uint32_t np = (p + 1) % j;
-      const VertexId lu = partition_.LocalOf(u);
-      const auto visit = [&](VertexId local_succ) {
-        const uint64_t npid = pid_of(partition_.GlobalOf(ss, local_succ), np);
-        if (scratch.fwd_stamp[npid] == stamp) return;
-        scratch.fwd_stamp[npid] = stamp;
-        scratch.fwd_queue.push_back(npid);
-      };
-      for (const LabeledNeighbor& nb : shard.graph.OutEdgesWithLabel(lu, l)) {
-        if (!dyn.OutEdgeRemoved(lu, nb)) visit(nb.v);
-      }
-      for (const LabeledNeighbor& nb : dyn.ExtraOut(lu)) {
-        if (nb.label == l) visit(nb.v);
-      }
-    }
-    result.expanded += static_cast<uint32_t>(scratch.fwd_queue.size());
-  }
-  if (scratch.skel_queue.empty()) return result;
-
-  // Phase 2 — target-shard prefix: reverse product BFS from (t, 0) inside
-  // shard(t) marks the accept set A (states that intra-reach (t, 0)).
-  {
+  // Phase 3 — target-shard prefix: reverse product BFS from (t, 0) inside
+  // shard(t) over the accept set A (states that intra-reach (t, 0)). With
+  // a frontier slice it stops at the first state of A found in the slice
+  // (the probe's answer); without one it marks all of A in acc_stamp for
+  // the reference path's pop-time checks. Returns false on a timeout.
+  const auto reverse_bfs = [&](const std::vector<uint64_t>* slice) {
+    const auto in_slice = [slice](uint64_t pid) {
+      return std::binary_search(slice->begin(), slice->end(), pid);
+    };
     const ShardInfo& shard = partition_.shard(st);
     const DynamicRlcIndex& dyn = *shards_[st];
     scratch.acc_queue.clear();
     const uint64_t accept = pid_of(t, 0);
     scratch.acc_stamp[accept] = stamp;
     scratch.acc_queue.push_back(accept);
-    for (size_t head = 0; head < scratch.acc_queue.size(); ++head) {
+    bool found = slice != nullptr && in_slice(accept);
+    for (size_t head = 0; head < scratch.acc_queue.size() && !found; ++head) {
       if (deadline_hit()) {
         result.timed_out = true;
         result.expanded += static_cast<uint32_t>(scratch.acc_queue.size());
-        return result;
+        return false;
       }
       const uint64_t pid = scratch.acc_queue[head];
       const VertexId v = static_cast<VertexId>(pid / j);
@@ -383,30 +340,38 @@ ComposeResult CompositionEngine::ComposedQuery(VertexId s, VertexId t,
         if (scratch.acc_stamp[npid] == stamp) return;
         scratch.acc_stamp[npid] = stamp;
         scratch.acc_queue.push_back(npid);
+        if (slice != nullptr && in_slice(npid)) found = true;
       };
       for (const LabeledNeighbor& nb : shard.graph.InEdgesWithLabel(lv, l)) {
         if (!dyn.InEdgeRemoved(lv, nb)) visit(nb.v);
+        if (found) break;
       }
       for (const LabeledNeighbor& nb : dyn.ExtraIn(lv)) {
+        if (found) break;
         if (nb.label == l) visit(nb.v);
       }
     }
     result.expanded += static_cast<uint32_t>(scratch.acc_queue.size());
-  }
+    result.reachable = found;
+    return true;
+  };
+  // Answer from a complete frontier: true iff some entry of its shard(t)
+  // slice lies in A. An empty slice never touches shard(t). The slice was
+  // sorted at publish time and is only read here (never copied per probe).
+  const auto answer_from = [&](const Frontier& f) {
+    const std::vector<uint64_t>& slice = f.by_shard[st];
+    if (!slice.empty()) reverse_bfs(&slice);
+  };
 
-  // Frontier cache: the exhaustive phase-3 closure is a pure function of
-  // (constraint, seed set, graph), so probes sharing the (sorted) seed set
-  // share one frontier. Lookup runs after phase 2 because a hit still
-  // needs this probe's accept set — the answer is then a scan of the
-  // frontier's shard(t) slice against acc_stamp, no skeleton BFS at all.
-  // Builds are single-flight: exactly one prober computes each key, so
-  // hop/expansion counter totals stay identical for every thread count.
+  // Frontier cache: the exhaustive skeleton closure is a pure function of
+  // (constraint, source vertex, graph), so the lookup runs before any
+  // traversal and a hit skips the source BFS and the closure entirely.
+  // Builds are single-flight: exactly one prober runs the source BFS and
+  // the closure for each key, so hop/expansion counter totals stay
+  // identical for every thread count.
   std::shared_ptr<Frontier> built;  // non-null → this call is the builder
-  FrontierKey key;
+  const FrontierKey key{plan.seq, s};
   if (options_.frontier_cache_entries > 0) {
-    key.seq = plan.seq;
-    key.seeds.assign(scratch.skel_queue.begin(), scratch.skel_queue.end());
-    std::sort(key.seeds.begin(), key.seeds.end());
     const uint64_t mepoch = mutation_epoch_.load(std::memory_order_relaxed);
     std::unique_lock<std::mutex> lk(frontier_mu_);
     for (;;) {
@@ -440,23 +405,16 @@ ComposeResult CompositionEngine::ComposedQuery(VertexId s, VertexId t,
         }
         continue;  // the map may have changed; re-resolve the key
       }
-      // Hit: the frontier is exhaustive, so reachability is "some entry in
-      // shard(t) lies in this probe's accept set".
       frontier_lru_.splice(frontier_lru_.begin(), frontier_lru_, f->lru_it);
       lk.unlock();
       result.frontier_hit = true;
-      for (const uint64_t epid : f->by_shard[st]) {
-        if (scratch.acc_stamp[epid] == stamp) {
-          result.reachable = true;
-          break;
-        }
-      }
+      answer_from(*f);
       return result;
     }
   }
   const bool exhaustive = built != nullptr;
-  // A builder that bails (deadline) must clear its placeholder so waiters
-  // wake and one of them takes over the build.
+  // A builder that bails (deadline, or no seeds) must clear its
+  // placeholder so waiters wake and one of them takes over the build.
   const auto abort_build = [&]() {
     if (!exhaustive) return;
     std::lock_guard<std::mutex> lk(frontier_mu_);
@@ -465,13 +423,74 @@ ComposeResult CompositionEngine::ComposedQuery(VertexId s, VertexId t,
     frontier_cv_.notify_all();
   };
 
-  // Phase 3 — skeleton BFS. Entries are checked against A at pop time;
-  // that is complete because A is intra-closed: any state an expansion
-  // marks inside shard(t) that lies in A puts its own entry in A, and that
-  // entry's pop already answered true (so exp-stamp dedup of later entries
-  // cannot hide an accepting one). A frontier build runs the identical
-  // loop minus the early exit (the cache stores the full closure); the
-  // builder's own answer is the same pop-time accept check.
+  // Phase 1 — source-shard suffix: forward product BFS from (s, 0) inside
+  // shard(s); label-matched cross edges leaving any visited state seed the
+  // skeleton with their heads.
+  const auto emit_cross = [&](VertexId u, uint32_t q) {
+    const Label l = plan.seq[q];
+    const uint32_t nq = (q + 1) % j;
+    for (const LabeledNeighbor& nb : partition_.CrossOutEdges(u)) {
+      if (nb.label != l) continue;
+      const uint64_t npid = pid_of(nb.v, nq);
+      if (scratch.exp_stamp[npid] == stamp) continue;
+      scratch.exp_stamp[npid] = stamp;
+      scratch.skel_queue.push_back(npid);
+    }
+  };
+  scratch.fwd_queue.clear();
+  scratch.skel_queue.clear();
+  {
+    const ShardInfo& shard = partition_.shard(ss);
+    const DynamicRlcIndex& dyn = *shards_[ss];
+    const uint64_t start = pid_of(s, 0);
+    scratch.fwd_stamp[start] = stamp;
+    scratch.fwd_queue.push_back(start);
+    for (size_t head = 0; head < scratch.fwd_queue.size(); ++head) {
+      if (deadline_hit()) {
+        result.timed_out = true;
+        result.expanded += static_cast<uint32_t>(scratch.fwd_queue.size());
+        abort_build();
+        return result;
+      }
+      const uint64_t pid = scratch.fwd_queue[head];
+      const VertexId u = static_cast<VertexId>(pid / j);
+      const uint32_t p = static_cast<uint32_t>(pid % j);
+      emit_cross(u, p);
+      const Label l = plan.seq[p];
+      const uint32_t np = (p + 1) % j;
+      const VertexId lu = partition_.LocalOf(u);
+      const auto visit = [&](VertexId local_succ) {
+        const uint64_t npid = pid_of(partition_.GlobalOf(ss, local_succ), np);
+        if (scratch.fwd_stamp[npid] == stamp) return;
+        scratch.fwd_stamp[npid] = stamp;
+        scratch.fwd_queue.push_back(npid);
+      };
+      for (const LabeledNeighbor& nb : shard.graph.OutEdgesWithLabel(lu, l)) {
+        if (!dyn.OutEdgeRemoved(lu, nb)) visit(nb.v);
+      }
+      for (const LabeledNeighbor& nb : dyn.ExtraOut(lu)) {
+        if (nb.label == l) visit(nb.v);
+      }
+    }
+    result.expanded += static_cast<uint32_t>(scratch.fwd_queue.size());
+  }
+  if (scratch.skel_queue.empty()) {
+    // No cross edge leaves the source's closure: false, and not worth a
+    // cache entry.
+    abort_build();
+    return result;
+  }
+  // The reference path (cache off) marks the whole accept set up front so
+  // the skeleton BFS can exit at the first accepted entry.
+  if (!exhaustive && !reverse_bfs(nullptr)) return result;
+
+  // Phase 2 — skeleton BFS. The reference path checks entries against A at
+  // pop time; that is complete because A is intra-closed: any state an
+  // expansion marks inside shard(t) that lies in A puts its own entry in
+  // A, and that entry's pop already answered true (so exp-stamp dedup of
+  // later entries cannot hide an accepting one). A frontier build runs the
+  // same loop to exhaustion with no accept set and answers afterwards from
+  // the published frontier.
   for (size_t head = 0; head < scratch.skel_queue.size(); ++head) {
     if (deadline_hit()) {
       result.timed_out = true;
@@ -484,34 +503,23 @@ ComposeResult CompositionEngine::ComposedQuery(VertexId s, VertexId t,
     ++result.skeleton_hops;
     const uint32_t sv = partition_.ShardOf(v);
     pop_heat_[sv].fetch_add(1, std::memory_order_relaxed);
-    if (sv == st && scratch.acc_stamp[pid] == stamp) {
+    if (!exhaustive && sv == st && scratch.acc_stamp[pid] == stamp) {
       result.reachable = true;
-      if (!exhaustive) return result;
-      // Building: keep walking (and still expand this entry) so the cached
-      // frontier is the full closure, valid for any future target.
+      return result;
     }
     ShardPlan& sp = *plan.shards[sv];
     if (sp.tables) {
-      // Boundary-transition row: every intra-reachable boundary exit, one
-      // bitset scan. Skeleton entries are cross-edge heads, so v is always
-      // a boundary vertex with a valid ordinal.
+      // Boundary-transition row: the skeleton entries intra-reachable from
+      // (v, p) through any boundary exit. Skeleton entries are cross-edge
+      // heads, so v is always a boundary vertex with a valid ordinal.
       const int32_t ord = sp.boundary_ord[partition_.LocalOf(v)];
       const uint32_t row_idx = static_cast<uint32_t>(ord) * j + p;
       const BoundaryRow* row =
           GetRow(sp, sv, row_idx, plan, &result.table_rows_built);
-      const ShardInfo& shard = partition_.shard(sv);
-      for (size_t w = 0; w < row->bits.size(); ++w) {
-        uint64_t word = row->bits[w];
-        while (word != 0) {
-          const uint32_t bit =
-              static_cast<uint32_t>(w * 64) + std::countr_zero(word);
-          word &= word - 1;
-          const VertexId exit_v = partition_.GlobalOf(sv, shard.boundary[bit / j]);
-          const uint64_t exit_pid = pid_of(exit_v, bit % j);
-          if (scratch.exit_stamp[exit_pid] == stamp) continue;
-          scratch.exit_stamp[exit_pid] = stamp;
-          emit_cross(exit_v, bit % j);
-        }
+      for (const uint64_t npid : row->succ) {
+        if (scratch.exp_stamp[npid] == stamp) continue;
+        scratch.exp_stamp[npid] = stamp;
+        scratch.skel_queue.push_back(npid);
       }
     } else {
       // Over-budget shard: expand the product graph on the fly. exp_stamp
@@ -555,16 +563,22 @@ ComposeResult CompositionEngine::ComposedQuery(VertexId s, VertexId t,
                                  std::memory_order_relaxed);
     }
   }
+  if (!exhaustive) return result;
 
-  if (exhaustive) {
-    // skel_queue now holds every popped entry (append-only queue, fully
-    // drained) — exactly the frontier. Group by shard and publish.
-    built->hops = static_cast<uint32_t>(scratch.skel_queue.size());
-    built->by_shard.assign(partition_.num_shards(), {});
-    for (const uint64_t epid : scratch.skel_queue) {
-      const VertexId ev = static_cast<VertexId>(epid / j);
-      built->by_shard[partition_.ShardOf(ev)].push_back(epid);
-    }
+  // skel_queue now holds every popped entry (append-only queue, fully
+  // drained) — exactly the frontier. Group by shard, sort each slice once
+  // (trimmed to size: the cache holds up to frontier_cache_entries of
+  // them), publish, then answer from it like a hit.
+  built->by_shard.resize(partition_.num_shards());
+  for (const uint64_t epid : scratch.skel_queue) {
+    built->by_shard[partition_.ShardOf(static_cast<VertexId>(epid / j))]
+        .push_back(epid);
+  }
+  for (auto& slice : built->by_shard) {
+    std::sort(slice.begin(), slice.end());
+    slice.shrink_to_fit();
+  }
+  {
     std::lock_guard<std::mutex> lk(frontier_mu_);
     auto it = frontiers_.find(key);
     if (it != frontiers_.end() && it->second == built) {
@@ -580,6 +594,7 @@ ComposeResult CompositionEngine::ComposedQuery(VertexId s, VertexId t,
     }
     frontier_cv_.notify_all();
   }
+  answer_from(*built);
   return result;
 }
 
@@ -683,14 +698,12 @@ std::vector<uint8_t> CompositionEngine::SerializeCache() const {
       }
       AppendU32(out, built);
       if (!sp.tables) continue;
-      const uint32_t words = static_cast<uint32_t>(
-          (static_cast<uint64_t>(sp.num_boundary) * plan->j + 63) / 64);
-      AppendU32(out, words);
       for (uint32_t idx = 0; idx < sp.rows.size(); ++idx) {
         const BoundaryRow* row = sp.rows[idx].load(std::memory_order_acquire);
         if (row == nullptr) continue;
         AppendU32(out, idx);
-        for (const uint64_t w : row->bits) AppendU64(out, w);
+        AppendU32(out, static_cast<uint32_t>(row->succ.size()));
+        for (const uint64_t pid : row->succ) AppendU64(out, pid);
       }
     }
   }
@@ -733,24 +746,35 @@ bool CompositionEngine::RestoreCache(std::span<const uint8_t> bytes) {
           }
           continue;
         }
-        const uint32_t words = ReadU32(bytes, off);
-        const uint32_t expect_words = static_cast<uint32_t>(
-            (static_cast<uint64_t>(sp.num_boundary) * plan.j + 63) / 64);
-        if (words != expect_words || built > sp.rows.size()) {
+        // Every row costs at least its index and length fields, so a row
+        // count the remaining bytes cannot hold is rejected before any
+        // allocation.
+        if (built > sp.rows.size() ||
+            uint64_t{built} * 8 > bytes.size() - off) {
           plans_.clear();
           return false;
         }
+        const uint64_t num_pids = static_cast<uint64_t>(num_vertices_) * j;
         for (uint32_t r = 0; r < built; ++r) {
           const uint32_t idx = ReadU32(bytes, off);
+          const uint32_t len = ReadU32(bytes, off);
           if (idx >= sp.rows.size() ||
-              sp.rows[idx].load(std::memory_order_relaxed) != nullptr) {
+              sp.rows[idx].load(std::memory_order_relaxed) != nullptr ||
+              uint64_t{len} * 8 > bytes.size() - off) {
             plans_.clear();
             return false;
           }
           auto row = std::make_unique<BoundaryRow>();
-          row->bits.resize(words);
-          for (uint32_t w = 0; w < words; ++w) {
-            row->bits[w] = ReadU64(bytes, off);
+          row->succ.resize(len);
+          for (uint32_t i = 0; i < len; ++i) {
+            row->succ[i] = ReadU64(bytes, off);
+            // Successors are product ids, strictly increasing: anything
+            // else was not written by SerializeCache.
+            if (row->succ[i] >= num_pids ||
+                (i > 0 && row->succ[i] <= row->succ[i - 1])) {
+              plans_.clear();
+              return false;
+            }
           }
           const BoundaryRow* ptr = row.get();
           sp.owned.push_back(std::move(row));
@@ -779,7 +803,7 @@ uint64_t CompositionEngine::MemoryBytes() const {
       bytes += sp.rows.size() * sizeof(std::atomic<const BoundaryRow*>);
       std::lock_guard<std::mutex> lock(sp.build_mu);
       for (const auto& row : sp.owned) {
-        bytes += sizeof(BoundaryRow) + row->bits.capacity() * sizeof(uint64_t);
+        bytes += sizeof(BoundaryRow) + row->succ.capacity() * sizeof(uint64_t);
       }
       bytes += sp.build_stamp.capacity() * sizeof(uint32_t);
       bytes += sp.build_queue.capacity() * sizeof(uint64_t);
@@ -789,7 +813,7 @@ uint64_t CompositionEngine::MemoryBytes() const {
     std::lock_guard<std::mutex> lock(frontier_mu_);
     for (const auto& [key, f] : frontiers_) {
       // The key lives twice (map node + LRU list node).
-      bytes += sizeof(Frontier) + 2 * key.seeds.capacity() * sizeof(uint64_t);
+      bytes += sizeof(Frontier) + 2 * sizeof(FrontierKey);
       for (const auto& slice : f->by_shard) {
         bytes += slice.capacity() * sizeof(uint64_t);
       }

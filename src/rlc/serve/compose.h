@@ -9,54 +9,62 @@
 //   1. source-shard suffix: a forward product BFS from (s, 0) inside
 //      shard(s) (base subgraph + live mutation overlay) finds every
 //      product state with an outgoing cross edge carrying the label the
-//      position demands — the skeleton seeds. Seeding with cross-edge
-//      *successors* enforces the >= 1-cross-edge requirement, which keeps
-//      composition disjoint from the shard-index intra tier: a purely
-//      intra-shard witness is exactly the shard index's job.
-//   2. skeleton hops: a BFS over boundary product states alternates
-//      intra-shard closure with label-matched cross-edge hops. Closure
-//      inside a shard comes from its per-(shard, constraint) boundary
-//      transition table when the shard's boundary product graph fits the
-//      table budget — row (b, p) is the bitset of boundary product states
-//      (b', p') intra-reachable from (b, p), built lazily one product BFS
-//      per touched row and reused across probes — or, over budget, from an
-//      incremental per-probe product BFS whose visited set is shared by
-//      every entry into that shard (monotone, so a probe expands each
-//      shard's product graph at most once).
+//      position demands; the heads of those edges are the skeleton seeds.
+//      Seeding with cross-edge *heads* enforces the >= 1-cross-edge
+//      requirement, which keeps composition disjoint from the shard-index
+//      intra tier: a purely intra-shard witness is the shard index's job.
+//   2. skeleton closure: a BFS over skeleton entries (cross-edge heads)
+//      alternates intra-shard closure with label-matched cross-edge hops.
+//      Inside a shard whose boundary product graph fits the table budget
+//      the hop comes from the per-(shard, constraint) boundary transition
+//      table: row (b, p) is the sorted, deduplicated list of skeleton
+//      entries reachable from (b, p) — the label-matched cross-edge heads
+//      of every boundary state its intra product BFS reaches, (b, p)
+//      included — built lazily, one product BFS per touched row, and
+//      reused across probes. A table hop is therefore a short list walk
+//      deduplicated by the probe's visited stamps. Over budget, the shard
+//      expands on the fly: an incremental per-probe product BFS whose
+//      visited set is shared by every entry into that shard (monotone, so
+//      a probe expands each shard's product graph at most once).
 //   3. target-shard prefix: a reverse product BFS from (t, 0) inside
-//      shard(t) precomputes the accept set A — every product state that
-//      intra-reaches (t, 0). A skeleton entry into shard(t) answers true
-//      iff it lands in A. Membership is intra-closed, so checking entries
-//      on arrival is complete: an interior state of A reachable from an
-//      entry puts the entry itself in A.
+//      shard(t) walks the accept set A — every product state that
+//      intra-reaches (t, 0). The probe is true iff some skeleton entry
+//      into shard(t) lies in A. Membership is intra-closed, so checking
+//      entries is complete: an interior state of A reachable from an entry
+//      puts the entry itself in A.
 //
 // Correctness does not depend on any shard index: every traversal walks
 // the live mutated graph (shard subgraphs + DynamicRlcIndex overlays +
 // the partition's cross-edge adjacency), so composed answers are exact on
 // the mutated graph even while a shard's index is broken or resealing.
 //
-// Invalidation: transition tables are a function of one shard's intra
-// product graph and its boundary list. The engine keeps a per-shard epoch,
-// bumped by intra-shard mutations of that shard and by cross-edge changes
-// incident to it (those can re-order boundary ordinals); PreparePlan
-// lazily rebuilds exactly the stale shards' tables — the incremental
-// refresh of the affected (shard, state-pair) rows. Reseals do not bump
-// epochs (tables depend on the graph, not the index).
+// Invalidation: transition rows are a function of one shard's intra
+// product graph, its boundary list and the cross edges leaving it. The
+// engine keeps a per-shard epoch, bumped by intra-shard mutations of that
+// shard and by cross-edge changes incident to it (OnCrossMutation bumps
+// both endpoint shards); PreparePlan lazily rebuilds exactly the stale
+// shards' tables. Reseals do not bump epochs (tables depend on the graph,
+// not the index).
 //
-// Frontier cache: the phase-3 skeleton closure is a pure function of
-// (constraint, skeleton seed set, graph) — the target only decides the
-// early exit. Probes that share a seed set (100 probes fanning out of one
-// source shard under one MR typically collapse to a handful of exit sets)
-// therefore share one exhaustively-computed frontier: the set of every
-// skeleton entry reachable from the seeds, grouped by shard. A hit
-// replaces the whole skeleton BFS with a stamped-array scan of the
-// frontier's target-shard slice against the accept set; answers are
-// bit-identical with the cache on or off. Builds are single-flight (the
-// first prober builds, contemporaries wait on the published entry), which
-// keeps the skeleton-hop/expansion counter totals identical for every
-// thread count. Entries are tagged with the engine's mutation epoch —
-// OnIntraMutation/OnCrossMutation invalidate every cached frontier, since
-// a frontier depends on the whole graph, not one shard.
+// Frontier cache: the exhaustive skeleton closure of phases 1-2 is a pure
+// function of (constraint, source vertex, graph) — the target only picks
+// which slice to read. It is cached under that key and looked up before
+// any traversal. A miss runs the source BFS and the exhaustive closure and
+// publishes the frontier — every reachable skeleton entry, grouped by
+// shard, each slice sorted once at publish time; a source whose BFS emits
+// no seeds answers false and is not cached. A hit runs no source BFS and
+// no closure. Either way the answer then comes from the frontier: an empty
+// shard(t) slice answers false without touching shard(t); otherwise the
+// phase-3 reverse BFS from (t, 0) stops at the first state it finds in the
+// slice (binary search). Answers are bit-identical with the cache on or
+// off; the cache-off path (frontier_cache_entries = 0) is the reference:
+// phase 1, then the full accept set, then a skeleton BFS that exits at the
+// first accepted entry. Builds are single-flight (the first prober runs
+// the source BFS and builds, contemporaries wait on the published entry),
+// which keeps the skeleton-hop/expansion counter totals identical for
+// every thread count. Entries are tagged with the engine's mutation epoch
+// — OnIntraMutation/OnCrossMutation invalidate every cached frontier,
+// since a frontier depends on the whole graph, not one shard.
 //
 // Adaptive table budgets: per-shard on-the-fly expansion volume and
 // probe-budget overruns accumulate as heat; AdaptTableBudgets() (owner
@@ -97,16 +105,18 @@ namespace rlc {
 struct ComposeOptions {
   /// A shard's transition table is materialized only when its boundary
   /// product graph (|B_S| * |L|) has at most this many states; larger
-  /// shards expand on the fly per probe. Bounds table memory at
-  /// budget^2 bits per (shard, constraint). Hot shards get a boosted
-  /// budget (see adaptive_tables).
+  /// shards expand on the fly per probe. Bounds a (shard, constraint)
+  /// table at budget rows, each the list of skeleton entries the row
+  /// leads to. Hot shards get a boosted budget (see adaptive_tables).
   uint32_t table_budget_nodes = 2048;
   /// Plan-cache capacity (distinct constraints); the cache flushes when
   /// full, mirroring the service's constraint memo.
   size_t max_cached_plans = 1 << 12;
-  /// Skeleton frontier cache capacity in entries (distinct (constraint,
-  /// seed-set) keys, LRU-evicted, epoch-invalidated by mutations).
-  /// 0 disables the cache; answers are identical either way.
+  /// Skeleton frontier cache capacity in entries: one per distinct
+  /// (constraint, source vertex) whose source BFS emits seeds, LRU-evicted,
+  /// epoch-invalidated by mutations. A hit skips the source BFS and the
+  /// skeleton closure. 0 disables the cache (the reference path); answers
+  /// are identical either way.
   size_t frontier_cache_entries = 1024;
   /// Adaptive table budgets: boost hot shards past table_budget_nodes,
   /// release cold boosts. Off = the static budget for every shard.
@@ -134,7 +144,8 @@ struct ComposeResult {
   /// probe carries no answer. Overrun is bounded by one deadline-check
   /// stride (kDeadlineCheckStride pops) or one table-row build.
   bool timed_out = false;
-  bool frontier_hit = false;   ///< answered from a cached frontier
+  bool frontier_hit = false;   ///< answered from a cached frontier (no
+                               ///< source BFS, no skeleton closure ran)
   bool frontier_miss = false;  ///< this call built + cached a frontier
   uint32_t skeleton_hops = 0;  ///< skeleton entries popped
   uint32_t expanded = 0;       ///< product states visited on the fly
@@ -156,10 +167,10 @@ class CompositionEngine {
   /// by one stride (plus at most one table-row build).
   static constexpr uint32_t kDeadlineCheckStride = 128;
 
-  /// One boundary-transition row: bitset over the shard's boundary product
-  /// states (ordinal * j + position).
+  /// One boundary-transition row: the sorted, deduplicated global product
+  /// ids (vertex * j + position) of the skeleton entries it leads to.
   struct BoundaryRow {
-    std::vector<uint64_t> bits;
+    std::vector<uint64_t> succ;
   };
 
   /// Per-(shard, constraint) composition state. Rows build lazily and are
@@ -191,10 +202,9 @@ class CompositionEngine {
   /// Per-thread traversal scratch: stamped visited arrays over the global
   /// product space plus BFS queues. Reusable across probes and plans.
   struct Scratch {
-    std::vector<uint32_t> fwd_stamp;   ///< source-shard forward BFS
-    std::vector<uint32_t> acc_stamp;   ///< target-shard accept set A
-    std::vector<uint32_t> exp_stamp;   ///< skeleton + on-the-fly expansion
-    std::vector<uint32_t> exit_stamp;  ///< table exits already emitted
+    std::vector<uint32_t> fwd_stamp;  ///< source-shard forward BFS
+    std::vector<uint32_t> acc_stamp;  ///< target-shard reverse BFS
+    std::vector<uint32_t> exp_stamp;  ///< skeleton + on-the-fly expansion
     uint32_t stamp = 0;
     std::vector<uint64_t> fwd_queue;
     std::vector<uint64_t> acc_queue;
@@ -296,37 +306,31 @@ class CompositionEngine {
   uint64_t MemoryBytes() const;
 
  private:
-  /// Cache key of one skeleton frontier: the constraint plus the sorted,
-  /// deduplicated skeleton seed set (global product-state ids). The seed
-  /// set already encodes the source shard and entry states, so probes
-  /// from different sources that induce the same seeds legitimately
-  /// share a frontier.
+  /// Cache key of one skeleton frontier: the constraint plus the source
+  /// vertex. The closure from a fixed source is independent of the target,
+  /// so the key is known before any traversal runs.
   struct FrontierKey {
     LabelSeq seq;
-    std::vector<uint64_t> seeds;
+    VertexId source = 0;
     bool operator==(const FrontierKey& o) const {
-      return seq == o.seq && seeds == o.seeds;
+      return source == o.source && seq == o.seq;
     }
   };
   struct FrontierKeyHash {
     size_t operator()(const FrontierKey& k) const {
-      size_t h = LabelSeqHash{}(k.seq);
-      for (uint64_t s : k.seeds) {
-        h ^= std::hash<uint64_t>{}(s) + 0x9e3779b97f4a7c15ull + (h << 6) +
-             (h >> 2);
-      }
-      return h;
+      return LabelSeqHash{}(k.seq) ^
+             (std::hash<uint64_t>{}(k.source) * 0x9e3779b97f4a7c15ull);
     }
   };
-  /// One cached frontier: every skeleton entry reachable from the seeds,
-  /// grouped by shard. `building` entries are placeholders owned by the
-  /// in-flight builder (single-flight); they are not in the LRU list and
-  /// readers wait on frontier_cv_ until the build completes or aborts.
+  /// One cached frontier: every skeleton entry reachable from the source,
+  /// grouped by shard, each slice sorted. `building` entries are
+  /// placeholders owned by the in-flight builder (single-flight); they are
+  /// not in the LRU list and readers wait on frontier_cv_ until the build
+  /// completes or aborts.
   struct Frontier {
     uint64_t epoch = 0;  ///< mutation_epoch_ at build begin
     bool building = true;
-    uint32_t hops = 0;  ///< skeleton pops the build cost (telemetry)
-    std::vector<std::vector<uint64_t>> by_shard;  ///< entry pids per shard
+    std::vector<std::vector<uint64_t>> by_shard;  ///< sorted entry pids
     std::list<FrontierKey>::iterator lru_it;      ///< valid when !building
   };
 

@@ -14,7 +14,8 @@
 // category: both endpoints boundary vertices, both interior, and mixed.
 // A second group round-trips the composition warm cache through
 // SerializeCache / WriteCompositionCache / ReadCompositionCache /
-// RestoreCache, including corruption and shape-mismatch rejection.
+// RestoreCache, including corruption, shape-mismatch, malformed-row and
+// old-version rejection.
 
 #include <gtest/gtest.h>
 
@@ -296,6 +297,110 @@ TEST(CompositionCacheIoTest, RoundTripRestoresWarmTables) {
   fs::remove_all(fs::path(path).parent_path());
 }
 
+void AppendU32(std::vector<uint8_t>& out, uint32_t v) {
+  for (int i = 0; i < 4; ++i) out.push_back(static_cast<uint8_t>(v >> (8 * i)));
+}
+
+void AppendU64(std::vector<uint8_t>& out, uint64_t v) {
+  for (int i = 0; i < 8; ++i) out.push_back(static_cast<uint8_t>(v >> (8 * i)));
+}
+
+TEST(CompositionCacheIoTest, RestoreRejectsMalformedRows) {
+  // Hand-framed payloads in the SerializeCache layout: one constraint, one
+  // row in the first shard with a transition table. Malformed rows are
+  // rejected before they allocate or land in a table, and the engine stays
+  // cold and answers like a fresh one.
+  const DiGraph g = ErGraph(60, 260, 3, 0x12);
+  const EngineParts parts = MakeParts(g, 3, PartitionPolicy::kHash);
+  CompositionEngine engine(parts.partition, parts.shards);
+  CompositionEngine fresh(parts.partition, parts.shards);
+  const std::vector<Label> labels{0, 1};
+  const LabelSeq seq{std::span<const Label>(labels)};
+  const uint32_t j = seq.size();
+  const uint64_t num_pids = uint64_t{g.num_vertices()} * j;
+
+  uint32_t table_shard = parts.partition.num_shards();
+  {
+    const CompositionEngine::Plan& plan = fresh.PreparePlan(seq);
+    for (uint32_t s = 0; s < parts.partition.num_shards(); ++s) {
+      if (plan.shards[s]->tables) {
+        table_shard = s;
+        break;
+      }
+    }
+  }
+  ASSERT_LT(table_shard, parts.partition.num_shards())
+      << "no shard fits the default table budget";
+
+  // `rows` rows are announced for the table shard; only the first is
+  // written: index 0, length field `len`, successor ids `succ`.
+  const auto payload = [&](uint32_t rows, uint32_t len,
+                           const std::vector<uint64_t>& succ) {
+    const CompositionEngine::Plan& plan = fresh.PreparePlan(seq);
+    std::vector<uint8_t> out;
+    AppendU32(out, parts.partition.num_shards());
+    AppendU32(out, 1);
+    AppendU32(out, j);
+    for (uint32_t i = 0; i < j; ++i) AppendU32(out, seq[i]);
+    for (uint32_t s = 0; s < parts.partition.num_shards(); ++s) {
+      const CompositionEngine::ShardPlan& sp = *plan.shards[s];
+      out.push_back(sp.tables ? 1 : 0);
+      AppendU32(out, sp.num_boundary);
+      AppendU32(out, s == table_shard ? rows : 0);
+      if (s != table_shard) continue;
+      AppendU32(out, 0);
+      AppendU32(out, len);
+      for (const uint64_t pid : succ) AppendU64(out, pid);
+    }
+    return out;
+  };
+
+  // Control: a well-formed payload restores.
+  ASSERT_TRUE(engine.RestoreCache(payload(1, 2, {1, num_pids - 1})));
+  EXPECT_EQ(engine.num_cached_plans(), 1u);
+
+  const std::vector<std::pair<std::string, std::vector<uint8_t>>> bad = {
+      {"successor count beyond the payload", payload(1, 1u << 30, {1})},
+      {"row count beyond the payload", payload(1u << 30, 1, {1})},
+      {"announced row missing", payload(2, 1, {1})},
+      {"successor id out of range", payload(1, 1, {num_pids})},
+      {"successors not increasing", payload(1, 2, {5, 5})},
+  };
+  Rng rng(0x12);
+  CompositionEngine::Scratch scratch, fresh_scratch;
+  for (const auto& [what, bytes] : bad) {
+    SCOPED_TRACE(what);
+    EXPECT_FALSE(engine.RestoreCache(bytes));
+    EXPECT_EQ(engine.num_cached_plans(), 0u);
+    const CompositionEngine::Plan& plan = engine.PreparePlan(seq);
+    const CompositionEngine::Plan& fresh_plan = fresh.PreparePlan(seq);
+    for (int i = 0; i < 20; ++i) {
+      const auto s = static_cast<VertexId>(rng.Below(g.num_vertices()));
+      const auto t = static_cast<VertexId>(rng.Below(g.num_vertices()));
+      ASSERT_EQ(engine.ComposedQuery(s, t, plan, scratch).reachable,
+                fresh.ComposedQuery(s, t, fresh_plan, fresh_scratch).reachable)
+          << "s=" << s << " t=" << t;
+    }
+  }
+}
+
+TEST(CompositionCacheIoTest, ReadRejectsVersionOneFraming) {
+  // Version 1 payloads held bitset rows; a file framed as version 1 must
+  // not reach RestoreCache at all.
+  const std::string path = TempCachePath();
+  WriteCompositionCache(path, std::vector<uint8_t>{1, 2, 3, 4});
+  ASSERT_EQ(ReadCompositionCache(path), (std::vector<uint8_t>{1, 2, 3, 4}));
+  {
+    // Framing: u64 magic, then the u32 version.
+    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+    f.seekp(8);
+    const uint32_t v1 = 1;
+    f.write(reinterpret_cast<const char*>(&v1), sizeof(v1));
+  }
+  EXPECT_THROW(ReadCompositionCache(path), std::runtime_error);
+  fs::remove_all(fs::path(path).parent_path());
+}
+
 TEST(CompositionCacheIoTest, ServiceCheckpointCarriesComposeSnap) {
   // End to end through the service: a checkpointed generation contains
   // compose.snap; deleting it does NOT break recovery (pure warm cache) —
@@ -372,8 +477,18 @@ void RunFrontierCacheCell(const DiGraph& g, const RlcIndex& oracle,
   cached_opts.exec_threads = exec_threads;
   ServiceOptions cold_opts = cached_opts;
   cold_opts.compose.frontier_cache_entries = 0;  // cache off
+  // On-the-fly axis: a budget of one boundary product state admits no
+  // transition table (and adaptivity cannot boost one), so every shard
+  // expands per probe instead of walking successor rows.
+  ServiceOptions otf_cached_opts = cached_opts;
+  otf_cached_opts.compose.table_budget_nodes = 1;
+  otf_cached_opts.compose.adaptive_tables = false;
+  ServiceOptions otf_cold_opts = otf_cached_opts;
+  otf_cold_opts.compose.frontier_cache_entries = 0;
   ShardedRlcService cached(g, cached_opts);
   ShardedRlcService cold(g, cold_opts);
+  ShardedRlcService otf_cached(g, otf_cached_opts);
+  ShardedRlcService otf_cold(g, otf_cold_opts);
 
   Rng rng(seed);
   const auto seqs = ProbeSeqs(oracle, g.num_labels(), k, rng);
@@ -385,14 +500,21 @@ void RunFrontierCacheCell(const DiGraph& g, const RlcIndex& oracle,
   }
 
   // Two rounds: the first installs frontiers, the second answers from them.
-  // Both rounds must be bit-identical to the cache-off service and exact
-  // against the oracle.
+  // Both rounds must be bit-identical across cache on/off and table rows
+  // vs on-the-fly expansion, and exact against the oracle.
   for (int round = 0; round < 2; ++round) {
     const AnswerBatch a = cached.Execute(batch);
     const AnswerBatch b = cold.Execute(batch);
+    const AnswerBatch c = otf_cached.Execute(batch);
+    const AnswerBatch d = otf_cold.Execute(batch);
     ASSERT_EQ(a.answers, b.answers) << "round " << round;
+    ASSERT_EQ(a.answers, c.answers) << "round " << round << " (on the fly)";
+    ASSERT_EQ(a.answers, d.answers)
+        << "round " << round << " (on the fly, cache off)";
     EXPECT_TRUE(a.all_ok());
     EXPECT_TRUE(b.all_ok());
+    EXPECT_TRUE(c.all_ok());
+    EXPECT_TRUE(d.all_ok());
     for (size_t i = 0; i < batch.num_probes(); ++i) {
       const BatchProbe& p = batch.probes()[i];
       ASSERT_EQ(a.answers[i] != 0,
@@ -401,17 +523,22 @@ void RunFrontierCacheCell(const DiGraph& g, const RlcIndex& oracle,
     }
   }
 
-  const ServiceStats cs = cached.stats();
-  const ServiceStats ns = cold.stats();
-  EXPECT_EQ(ns.frontier_hits + ns.frontier_misses + ns.frontier_evictions, 0u)
-      << "cache-off service touched the frontier cache";
-  if (shards > 1 && cs.compose_probes > 0) {
-    EXPECT_GT(cs.frontier_hits + cs.frontier_misses, 0u)
-        << "composed probes ran but the cache saw none of them";
+  for (const ShardedRlcService* off : {&cold, &otf_cold}) {
+    const ServiceStats ns = off->stats();
+    EXPECT_EQ(ns.frontier_hits + ns.frontier_misses + ns.frontier_evictions,
+              0u)
+        << "cache-off service touched the frontier cache";
   }
-  // Conservation: misses == evictions + still-cached entries.
-  EXPECT_EQ(cs.frontier_misses,
-            cs.frontier_evictions + cached.composition().num_cached_frontiers());
+  for (const ShardedRlcService* on : {&cached, &otf_cached}) {
+    const ServiceStats cs = on->stats();
+    if (shards > 1 && cs.compose_probes > 0) {
+      EXPECT_GT(cs.frontier_hits + cs.frontier_misses, 0u)
+          << "composed probes ran but the cache saw none of them";
+    }
+    // Conservation: misses == evictions + still-cached entries.
+    EXPECT_EQ(cs.frontier_misses,
+              cs.frontier_evictions + on->composition().num_cached_frontiers());
+  }
 }
 
 TEST(FrontierCacheTest, SweepMatchesCacheOffBitExact) {
@@ -510,7 +637,7 @@ TEST(FrontierCacheTest, MutationInvalidatesCachedFrontiers) {
 
 TEST(FrontierCacheTest, CapacityPressureEvictsLruAndKeepsAnswers) {
   // Engine-level: a 2-entry cache under a workload with many distinct
-  // (constraint, seed-set) keys keeps evicting yet never changes answers,
+  // (constraint, source) keys keeps evicting yet never changes answers,
   // and the per-call telemetry conserves. Single-threaded: LRU order under
   // capacity pressure is only deterministic with one prober.
   const DiGraph g = ErGraph(60, 260, 3, 0xF4);
