@@ -491,77 +491,6 @@ RlcIndex LoadIndex(const std::string& path) {
   return ReadIndex(in, path);
 }
 
-namespace {
-
-constexpr uint64_t kComposeCacheMagic = 0x524C43434D50ULL;  // "RLCCMP"
-// Version 2: transition rows are sorted successor lists (v1 held bitsets).
-constexpr uint32_t kComposeCacheVersion = 2;
-
-uint64_t BytesChecksum(std::span<const uint8_t> bytes) {
-  uint64_t h = kSignatureChecksumSeed;
-  for (const uint8_t b : bytes) h = SignatureChecksum(h, b);
-  return h;
-}
-
-}  // namespace
-
-void WriteCompositionCache(const std::string& path,
-                           std::span<const uint8_t> payload) {
-  std::string bytes;
-  bytes.reserve(payload.size() + 28);
-  const auto put = [&bytes](const auto& v) {
-    bytes.append(reinterpret_cast<const char*>(&v), sizeof(v));
-  };
-  put(kComposeCacheMagic);
-  put(kComposeCacheVersion);
-  put(static_cast<uint64_t>(payload.size()));
-  bytes.append(reinterpret_cast<const char*>(payload.data()), payload.size());
-  put(BytesChecksum(payload));
-  AtomicWriteFile(path, bytes, "compose.save");
-}
-
-std::vector<uint8_t> ReadCompositionCache(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    throw std::runtime_error("cannot open composition cache: " + path + ": " +
-                             std::strerror(errno));
-  }
-  const auto get = [&in, &path](auto& v) {
-    in.read(reinterpret_cast<char*>(&v), sizeof(v));
-    if (!in) {
-      throw std::runtime_error("composition cache " + path + ": truncated");
-    }
-  };
-  uint64_t magic = 0;
-  uint32_t version = 0;
-  uint64_t size = 0;
-  get(magic);
-  get(version);
-  get(size);
-  if (magic != kComposeCacheMagic || version != kComposeCacheVersion) {
-    throw std::runtime_error("composition cache " + path +
-                             ": bad magic or version");
-  }
-  if (size > RemainingBytes(in)) {
-    throw std::runtime_error("composition cache " + path + ": truncated");
-  }
-  std::vector<uint8_t> payload(size);
-  if (size > 0) {
-    in.read(reinterpret_cast<char*>(payload.data()),
-            static_cast<std::streamsize>(size));
-    if (!in) {
-      throw std::runtime_error("composition cache " + path + ": truncated");
-    }
-  }
-  uint64_t checksum = 0;
-  get(checksum);
-  if (checksum != BytesChecksum(payload)) {
-    throw std::runtime_error("composition cache " + path +
-                             ": checksum mismatch");
-  }
-  return payload;
-}
-
 DurabilityManifest ReadManifest(const std::string& dir) {
   const std::string path = dir + "/" + kManifestFileName;
   std::ifstream in(path);

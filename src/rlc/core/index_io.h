@@ -63,7 +63,6 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -111,20 +110,6 @@ RlcIndex LoadIndex(const std::string& path);
 ///         file may be left behind; `path` itself is never torn).
 void AtomicWriteFile(const std::string& path, std::string_view bytes,
                      const char* failpoint_site = "index_io.save");
-
-/// Persists an opaque composition-cache payload (CompositionEngine::
-/// SerializeCache) with framing — magic, version, length, FNV checksum —
-/// via AtomicWriteFile (failpoint site "compose.save"). The warm boundary
-/// transition tables are a pure cache, so the framing only has to make
-/// corruption *detectable*; the reader rejects, the engine restarts cold.
-/// \throws std::runtime_error on I/O failure or an injected fault.
-void WriteCompositionCache(const std::string& path,
-                           std::span<const uint8_t> payload);
-
-/// Reads a WriteCompositionCache file back into the raw payload.
-/// \throws std::runtime_error on a missing/unreadable file, bad magic or
-///         version, truncation, or a checksum mismatch.
-std::vector<uint8_t> ReadCompositionCache(const std::string& path);
 
 /// One durable snapshot generation of a store (durable_index.h).
 struct SnapshotGeneration {

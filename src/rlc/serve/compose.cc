@@ -8,34 +8,6 @@
 
 namespace rlc {
 
-namespace {
-
-void AppendU32(std::vector<uint8_t>& out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
-
-void AppendU64(std::vector<uint8_t>& out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
-
-uint32_t ReadU32(std::span<const uint8_t> bytes, size_t& off) {
-  RLC_REQUIRE(off + 4 <= bytes.size(), "compose cache: truncated payload");
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<uint32_t>(bytes[off + i]) << (8 * i);
-  off += 4;
-  return v;
-}
-
-uint64_t ReadU64(std::span<const uint8_t> bytes, size_t& off) {
-  RLC_REQUIRE(off + 8 <= bytes.size(), "compose cache: truncated payload");
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(bytes[off + i]) << (8 * i);
-  off += 8;
-  return v;
-}
-
-}  // namespace
-
 CompositionEngine::CompositionEngine(
     const GraphPartition& partition,
     const std::vector<std::unique_ptr<DynamicRlcIndex>>& shards,
@@ -43,13 +15,7 @@ CompositionEngine::CompositionEngine(
     : partition_(partition),
       shards_(shards),
       options_(options),
-      epochs_(partition.num_shards(), 0),
-      expand_heat_(partition.num_shards()),
-      pop_heat_(partition.num_shards()),
-      overrun_heat_(partition.num_shards()),
-      effective_budget_(partition.num_shards(), options.table_budget_nodes),
-      budget_epochs_(partition.num_shards(), 0),
-      cold_rounds_(partition.num_shards(), 0) {
+      epochs_(partition.num_shards(), 0) {
   for (uint32_t s = 0; s < partition.num_shards(); ++s) {
     num_vertices_ += static_cast<VertexId>(partition.shard(s).global_of.size());
   }
@@ -58,11 +24,10 @@ CompositionEngine::CompositionEngine(
 void CompositionEngine::BuildShardPlan(Plan& plan, uint32_t s) {
   auto sp = std::make_unique<ShardPlan>();
   sp->epoch = epochs_[s];
-  sp->budget_epoch = budget_epochs_[s];
   const ShardInfo& shard = partition_.shard(s);
   sp->num_boundary = static_cast<uint32_t>(shard.boundary.size());
   const uint64_t states = static_cast<uint64_t>(sp->num_boundary) * plan.j;
-  sp->tables = states > 0 && states <= effective_budget_[s];
+  sp->tables = states > 0 && states <= options_.table_budget_nodes;
   if (sp->tables) {
     sp->boundary_ord.assign(shard.graph.num_vertices(), -1);
     for (uint32_t i = 0; i < sp->num_boundary; ++i) {
@@ -93,8 +58,7 @@ const CompositionEngine::Plan& CompositionEngine::PreparePlan(
   Plan& plan = *it->second;
   uint32_t stale = 0;
   for (uint32_t s = 0; s < partition_.num_shards(); ++s) {
-    if (plan.shards[s]->epoch != epochs_[s] ||
-        plan.shards[s]->budget_epoch != budget_epochs_[s]) {
+    if (plan.shards[s]->epoch != epochs_[s]) {
       BuildShardPlan(plan, s);
       ++stale;
     }
@@ -132,56 +96,6 @@ void CompositionEngine::EraseFrontierLocked(
                        FrontierKeyHash>::iterator it) const {
   if (!it->second->building) frontier_lru_.erase(it->second->lru_it);
   frontiers_.erase(it);
-}
-
-BudgetAdaptation CompositionEngine::AdaptTableBudgets(bool force_round) {
-  BudgetAdaptation out;
-  if (!options_.adaptive_tables || options_.hot_budget_multiplier <= 1) {
-    return out;
-  }
-  if (!force_round && probes_since_adapt_.load(std::memory_order_relaxed) <
-                          options_.adapt_min_probes) {
-    return out;
-  }
-  probes_since_adapt_.store(0, std::memory_order_relaxed);
-  const uint64_t hot = options_.hot_expand_threshold != 0
-                           ? options_.hot_expand_threshold
-                           : 4ull * options_.table_budget_nodes;
-  const uint64_t boosted_budget = std::min<uint64_t>(
-      static_cast<uint64_t>(options_.table_budget_nodes) *
-          options_.hot_budget_multiplier,
-      ~uint32_t{0});
-  for (uint32_t s = 0; s < partition_.num_shards(); ++s) {
-    const uint64_t expanded =
-        expand_heat_[s].exchange(0, std::memory_order_relaxed);
-    const uint64_t pops = pop_heat_[s].exchange(0, std::memory_order_relaxed);
-    const uint64_t overruns =
-        overrun_heat_[s].exchange(0, std::memory_order_relaxed);
-    const bool boosted = effective_budget_[s] != options_.table_budget_nodes;
-    if (!boosted) {
-      // Hot = heavy on-the-fly expansion (the work tables would replace) or
-      // any probe-budget overrun attributed to this shard.
-      if (expanded >= hot || overruns > 0) {
-        effective_budget_[s] = static_cast<uint32_t>(boosted_budget);
-        ++budget_epochs_[s];
-        cold_rounds_[s] = 0;
-        ++out.boosts;
-      }
-    } else if (expanded == 0 && pops == 0 && overruns == 0) {
-      // A boosted shard stops expanding on the fly by design, so pops are
-      // the keep-alive signal; only a shard whose tables nobody entered
-      // counts as cold.
-      if (++cold_rounds_[s] >= options_.cold_release_rounds) {
-        effective_budget_[s] = options_.table_budget_nodes;
-        ++budget_epochs_[s];
-        cold_rounds_[s] = 0;
-        ++out.releases;
-      }
-    } else {
-      cold_rounds_[s] = 0;
-    }
-  }
-  return out;
 }
 
 void CompositionEngine::EnsureScratch(Scratch& scratch, uint32_t j) const {
@@ -279,7 +193,6 @@ ComposeResult CompositionEngine::ComposedQuery(VertexId s, VertexId t,
                                                Scratch& scratch,
                                                const Deadline& deadline) const {
   ComposeResult result;
-  probes_since_adapt_.fetch_add(1, std::memory_order_relaxed);
   const uint32_t j = plan.j;
   EnsureScratch(scratch, j);
   const uint32_t stamp = scratch.stamp;
@@ -502,7 +415,6 @@ ComposeResult CompositionEngine::ComposedQuery(VertexId s, VertexId t,
     const uint32_t p = static_cast<uint32_t>(pid % j);
     ++result.skeleton_hops;
     const uint32_t sv = partition_.ShardOf(v);
-    pop_heat_[sv].fetch_add(1, std::memory_order_relaxed);
     if (!exhaustive && sv == st && scratch.acc_stamp[pid] == stamp) {
       result.reachable = true;
       return result;
@@ -533,8 +445,6 @@ ComposeResult CompositionEngine::ComposedQuery(VertexId s, VertexId t,
         if (deadline_hit()) {
           result.timed_out = true;
           result.expanded += static_cast<uint32_t>(scratch.exp_queue.size());
-          expand_heat_[sv].fetch_add(scratch.exp_queue.size(),
-                                     std::memory_order_relaxed);
           abort_build();
           return result;
         }
@@ -559,8 +469,6 @@ ComposeResult CompositionEngine::ComposedQuery(VertexId s, VertexId t,
         }
       }
       result.expanded += static_cast<uint32_t>(scratch.exp_queue.size());
-      expand_heat_[sv].fetch_add(scratch.exp_queue.size(),
-                                 std::memory_order_relaxed);
     }
   }
   if (!exhaustive) return result;
@@ -668,129 +576,6 @@ bool CompositionEngine::IntraProductReaches(VertexId s, VertexId t,
     }
   }
   return false;
-}
-
-std::vector<uint8_t> CompositionEngine::SerializeCache() const {
-  std::vector<uint8_t> out;
-  AppendU32(out, partition_.num_shards());
-  AppendU32(out, static_cast<uint32_t>(plans_.size()));
-  // Deterministic payload: plans in constraint order, rows in slot order.
-  std::vector<const Plan*> ordered;
-  ordered.reserve(plans_.size());
-  for (const auto& [seq, plan] : plans_) ordered.push_back(plan.get());
-  std::sort(ordered.begin(), ordered.end(), [](const Plan* a, const Plan* b) {
-    if (a->j != b->j) return a->j < b->j;
-    for (uint32_t i = 0; i < a->j; ++i) {
-      if (a->seq[i] != b->seq[i]) return a->seq[i] < b->seq[i];
-    }
-    return false;
-  });
-  for (const Plan* plan : ordered) {
-    AppendU32(out, plan->j);
-    for (uint32_t i = 0; i < plan->j; ++i) AppendU32(out, plan->seq[i]);
-    for (uint32_t s = 0; s < partition_.num_shards(); ++s) {
-      const ShardPlan& sp = *plan->shards[s];
-      out.push_back(sp.tables ? 1 : 0);
-      AppendU32(out, sp.num_boundary);
-      uint32_t built = 0;
-      for (const auto& slot : sp.rows) {
-        if (slot.load(std::memory_order_acquire) != nullptr) ++built;
-      }
-      AppendU32(out, built);
-      if (!sp.tables) continue;
-      for (uint32_t idx = 0; idx < sp.rows.size(); ++idx) {
-        const BoundaryRow* row = sp.rows[idx].load(std::memory_order_acquire);
-        if (row == nullptr) continue;
-        AppendU32(out, idx);
-        AppendU32(out, static_cast<uint32_t>(row->succ.size()));
-        for (const uint64_t pid : row->succ) AppendU64(out, pid);
-      }
-    }
-  }
-  return out;
-}
-
-bool CompositionEngine::RestoreCache(std::span<const uint8_t> bytes) {
-  plans_.clear();
-  size_t off = 0;
-  try {
-    if (ReadU32(bytes, off) != partition_.num_shards()) {
-      plans_.clear();
-      return false;
-    }
-    const uint32_t num_plans = ReadU32(bytes, off);
-    for (uint32_t pi = 0; pi < num_plans; ++pi) {
-      const uint32_t j = ReadU32(bytes, off);
-      RLC_REQUIRE(j >= 1 && j <= kMaxK, "compose cache: bad constraint length");
-      std::vector<Label> labels(j);
-      for (uint32_t i = 0; i < j; ++i) labels[i] = ReadU32(bytes, off);
-      const LabelSeq seq{std::span<const Label>(labels)};
-      PreparePlan(seq);
-      Plan& plan = *plans_.find(seq)->second;
-      for (uint32_t s = 0; s < partition_.num_shards(); ++s) {
-        ShardPlan& sp = *plan.shards[s];
-        RLC_REQUIRE(off < bytes.size(), "compose cache: truncated payload");
-        const bool tables = bytes[off++] != 0;
-        const uint32_t num_boundary = ReadU32(bytes, off);
-        const uint32_t built = ReadU32(bytes, off);
-        // A shape mismatch means the payload was written against a
-        // different partition state: stay cold rather than trust it.
-        if (tables != sp.tables || num_boundary != sp.num_boundary) {
-          plans_.clear();
-          return false;
-        }
-        if (!sp.tables) {
-          if (built != 0) {
-            plans_.clear();
-            return false;
-          }
-          continue;
-        }
-        // Every row costs at least its index and length fields, so a row
-        // count the remaining bytes cannot hold is rejected before any
-        // allocation.
-        if (built > sp.rows.size() ||
-            uint64_t{built} * 8 > bytes.size() - off) {
-          plans_.clear();
-          return false;
-        }
-        const uint64_t num_pids = static_cast<uint64_t>(num_vertices_) * j;
-        for (uint32_t r = 0; r < built; ++r) {
-          const uint32_t idx = ReadU32(bytes, off);
-          const uint32_t len = ReadU32(bytes, off);
-          if (idx >= sp.rows.size() ||
-              sp.rows[idx].load(std::memory_order_relaxed) != nullptr ||
-              uint64_t{len} * 8 > bytes.size() - off) {
-            plans_.clear();
-            return false;
-          }
-          auto row = std::make_unique<BoundaryRow>();
-          row->succ.resize(len);
-          for (uint32_t i = 0; i < len; ++i) {
-            row->succ[i] = ReadU64(bytes, off);
-            // Successors are product ids, strictly increasing: anything
-            // else was not written by SerializeCache.
-            if (row->succ[i] >= num_pids ||
-                (i > 0 && row->succ[i] <= row->succ[i - 1])) {
-              plans_.clear();
-              return false;
-            }
-          }
-          const BoundaryRow* ptr = row.get();
-          sp.owned.push_back(std::move(row));
-          sp.rows[idx].store(ptr, std::memory_order_release);
-        }
-      }
-    }
-    if (off != bytes.size()) {
-      plans_.clear();
-      return false;
-    }
-  } catch (...) {
-    plans_.clear();
-    return false;
-  }
-  return true;
 }
 
 uint64_t CompositionEngine::MemoryBytes() const {

@@ -66,21 +66,12 @@
 // — OnIntraMutation/OnCrossMutation invalidate every cached frontier,
 // since a frontier depends on the whole graph, not one shard.
 //
-// Adaptive table budgets: per-shard on-the-fly expansion volume and
-// probe-budget overruns accumulate as heat; AdaptTableBudgets() (owner
-// thread) boosts a hot shard's effective budget by hot_budget_multiplier
-// so its transition tables materialize even when the boundary product
-// graph exceeds the static budget, and releases the boost (dropping the
-// tables on the next plan refresh) after cold_release_rounds quiet
-// rounds. Budget changes never change answers — tables and on-the-fly
-// expansion compute the same closure.
-//
-// Thread contract: PreparePlan, mutation notifications, AdaptTableBudgets
-// and cache serialization are owner-thread-only. ComposedQuery and
-// IntraProductReaches on a prepared plan are safe to fan out across a
-// worker pool (per-call Scratch; lazy row construction is published with
-// acquire/release atomics under a per-shard build mutex; the frontier
-// cache is guarded by its own mutex + condition variable).
+// Thread contract: PreparePlan and mutation notifications are
+// owner-thread-only. ComposedQuery and IntraProductReaches on a prepared
+// plan are safe to fan out across a worker pool (per-call Scratch; lazy
+// row construction is published with acquire/release atomics under a
+// per-shard build mutex; the frontier cache is guarded by its own mutex +
+// condition variable).
 
 #pragma once
 
@@ -91,7 +82,6 @@
 #include <list>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -107,8 +97,12 @@ struct ComposeOptions {
   /// product graph (|B_S| * |L|) has at most this many states; larger
   /// shards expand on the fly per probe. Bounds a (shard, constraint)
   /// table at budget rows, each the list of skeleton entries the row
-  /// leads to. Hot shards get a boosted budget (see adaptive_tables).
-  uint32_t table_budget_nodes = 2048;
+  /// leads to. 16384 keeps the shards of a 4-way split of a 20K-vertex,
+  /// 100K-edge community graph on tables for length-2 constraints (a
+  /// table hop walks a short list; on-the-fly expansion is a per-probe
+  /// BFS). At 2048 those shards expand on the fly and composed probes
+  /// take ~2.5x as long.
+  uint32_t table_budget_nodes = 16384;
   /// Plan-cache capacity (distinct constraints); the cache flushes when
   /// full, mirroring the service's constraint memo.
   size_t max_cached_plans = 1 << 12;
@@ -118,22 +112,6 @@ struct ComposeOptions {
   /// skeleton closure. 0 disables the cache (the reference path); answers
   /// are identical either way.
   size_t frontier_cache_entries = 1024;
-  /// Adaptive table budgets: boost hot shards past table_budget_nodes,
-  /// release cold boosts. Off = the static budget for every shard.
-  bool adaptive_tables = true;
-  /// Effective budget of a boosted shard = table_budget_nodes * this.
-  /// Values <= 1 disable adaptivity.
-  uint32_t hot_budget_multiplier = 8;
-  /// A shard is hot once it expanded at least this many product states on
-  /// the fly since the last adapt round (0 = 4 * table_budget_nodes).
-  /// Any probe-budget overrun attributed to the shard also marks it hot.
-  uint64_t hot_expand_threshold = 0;
-  /// A boosted shard whose tables went untouched for this many consecutive
-  /// adapt rounds releases its boost (tables drop on the next refresh).
-  uint32_t cold_release_rounds = 4;
-  /// An adapt round only evaluates after at least this many composed
-  /// probes, so scalar callers can invoke AdaptTableBudgets() per probe.
-  uint64_t adapt_min_probes = 64;
 };
 
 /// Telemetry of one composed probe (the caller folds these into its
@@ -154,12 +132,6 @@ struct ComposeResult {
                                     ///< (stale, replaced, or LRU capacity)
 };
 
-/// What one AdaptTableBudgets() round changed.
-struct BudgetAdaptation {
-  uint32_t boosts = 0;    ///< shards granted the boosted budget
-  uint32_t releases = 0;  ///< boosted shards released back to static
-};
-
 class CompositionEngine {
  public:
   /// Deadline granularity: traversal loops read the clock once per this
@@ -177,9 +149,8 @@ class CompositionEngine {
   /// published via atomics; everything else is immutable after
   /// PreparePlan installs the struct.
   struct ShardPlan {
-    uint64_t epoch = 0;        ///< engine shard epoch at build time
-    uint64_t budget_epoch = 0;  ///< shard budget epoch at build time
-    bool tables = false;       ///< boundary product graph within budget
+    uint64_t epoch = 0;   ///< engine shard epoch at build time
+    bool tables = false;  ///< boundary product graph within budget
     uint32_t num_boundary = 0;
     /// local id -> boundary ordinal, -1 interior (tables only).
     std::vector<int32_t> boundary_ord;
@@ -263,39 +234,6 @@ class CompositionEngine {
   /// caller can fold them into its eviction counter.
   size_t InvalidateAll();
 
-  /// One budget-adaptation round (owner thread, between batches): drains
-  /// the per-shard heat gathered since the last round, boosts hot shards'
-  /// effective table budgets and releases cold boosts. No-op until
-  /// adapt_min_probes composed probes ran, unless `force_round`.
-  BudgetAdaptation AdaptTableBudgets(bool force_round = false);
-
-  /// Current effective table budget of `shard` (owner thread; gauge
-  /// export and tests).
-  uint32_t EffectiveTableBudget(uint32_t shard) const {
-    return effective_budget_[shard];
-  }
-  bool ShardBoosted(uint32_t shard) const {
-    return effective_budget_[shard] != options_.table_budget_nodes;
-  }
-
-  /// Attributes one probe-budget overrun to `shard` (thread-safe) —
-  /// overrun evidence marks the shard hot for the next adapt round.
-  void NoteShardOverrun(uint32_t shard) {
-    if (shard < overrun_heat_.size())
-      overrun_heat_[shard].fetch_add(1, std::memory_order_relaxed);
-  }
-
-  /// Serializes the built transition rows (warm-cache checkpoint payload;
-  /// index_io.h frames it into a file). Deterministic for a fixed cache
-  /// state. Owner thread only.
-  std::vector<uint8_t> SerializeCache() const;
-
-  /// Restores a SerializeCache payload. Returns false (leaving the cache
-  /// cold but the engine fully usable) when the payload does not match
-  /// the current partition shape. Owner thread only, before any
-  /// concurrent queries.
-  bool RestoreCache(std::span<const uint8_t> bytes);
-
   const ComposeOptions& options() const { return options_; }
   size_t num_cached_plans() const { return plans_.size(); }
   /// Installed (fully built) frontier-cache entries right now.
@@ -370,20 +308,6 @@ class CompositionEngine {
                              FrontierKeyHash>
       frontiers_;
   mutable std::list<FrontierKey> frontier_lru_;  ///< front = most recent
-
-  /// Per-shard heat drained by AdaptTableBudgets (relaxed; written by
-  /// worker threads during probes).
-  mutable std::vector<std::atomic<uint64_t>> expand_heat_;
-  mutable std::vector<std::atomic<uint64_t>> pop_heat_;
-  mutable std::vector<std::atomic<uint64_t>> overrun_heat_;
-  mutable std::atomic<uint64_t> probes_since_adapt_{0};
-
-  /// Owner-thread budget state: effective per-shard budget, the epoch that
-  /// forces a plan refresh when the budget changes, and the consecutive
-  /// quiet rounds of each boosted shard.
-  std::vector<uint32_t> effective_budget_;
-  std::vector<uint64_t> budget_epochs_;
-  std::vector<uint32_t> cold_rounds_;
 };
 
 }  // namespace rlc

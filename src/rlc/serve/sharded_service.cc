@@ -30,8 +30,6 @@ ShardedRlcService::ServiceCounters::ServiceCounters(obs::Registry& reg)
       frontier_hits(reg.GetCounter("serve.compose.frontier.hits")),
       frontier_misses(reg.GetCounter("serve.compose.frontier.misses")),
       frontier_evictions(reg.GetCounter("serve.compose.frontier.evictions")),
-      budget_boosts(reg.GetCounter("serve.compose.budget.boosts")),
-      budget_releases(reg.GetCounter("serve.compose.budget.releases")),
       batches(reg.GetCounter("serve.batches")),
       batch_groups(reg.GetCounter("serve.batch_groups")),
       seq_cache_flushes(reg.GetCounter("serve.seq_cache_flushes")),
@@ -74,8 +72,6 @@ ServiceStats ShardedRlcService::stats() const {
   s.frontier_hits = c_.frontier_hits.Value();
   s.frontier_misses = c_.frontier_misses.Value();
   s.frontier_evictions = c_.frontier_evictions.Value();
-  s.compose_budget_boosts = c_.budget_boosts.Value();
-  s.compose_budget_releases = c_.budget_releases.Value();
   s.batches = c_.batches.Value();
   s.batch_groups = c_.batch_groups.Value();
   s.seq_cache_flushes = c_.seq_cache_flushes.Value();
@@ -111,14 +107,9 @@ ShardedRlcService::ShardedRlcService(const DiGraph& g, ServiceOptions options)
   partition_ = GraphPartition::Build(g_, options_.partition);
   partition_seconds_ = timer.ElapsedSeconds();
   shard_compose_.reserve(partition_.num_shards());
-  shard_budget_gauges_.reserve(partition_.num_shards());
   for (uint32_t s = 0; s < partition_.num_shards(); ++s) {
     shard_compose_.push_back(
         &metrics_.GetCounter("serve.compose.shard." + std::to_string(s)));
-    shard_budget_gauges_.push_back(
-        &metrics_.GetGauge("serve.compose.table_budget." + std::to_string(s)));
-    shard_budget_gauges_.back()->Set(
-        static_cast<int64_t>(options_.compose.table_budget_nodes));
   }
 
   // One breaker per shard + one for the composition engine, each with its
@@ -165,18 +156,6 @@ ShardedRlcService::ShardedRlcService(const DiGraph& g, ServiceOptions options)
   // through ApplyUpdatesInternal, which already notifies it of mutations.
   compose_ = std::make_unique<CompositionEngine>(partition_, shard_dyn_,
                                                  options_.compose);
-  if (recovered) {
-    // Warm the transition tables from the recovered generation's
-    // compose.snap. The file is a pure cache: absent, corrupt, or written
-    // against a different partition shape all mean "start cold", never a
-    // recovery failure.
-    try {
-      const std::vector<uint8_t> payload = ReadCompositionCache(
-          GenDir(recovery_.generation) + "/compose.snap");
-      compose_->RestoreCache(payload);
-    } catch (const std::exception&) {
-    }
-  }
 
   const uint32_t exec_threads =
       ThreadPool::ResolveThreads(options_.exec_threads);
@@ -412,13 +391,6 @@ void ShardedRlcService::Checkpoint() {
                       shard_dyn_[shard]->removed_edges(),
                       &shard_dyn_[shard]->index());
   }
-  // Warm-cache checkpoint of the composition engine's built transition
-  // rows: recovery restores them so the first cross-shard probes after a
-  // restart skip the lazy rebuilds. Correctness never depends on it.
-  if (compose_ != nullptr) {
-    const std::vector<uint8_t> payload = compose_->SerializeCache();
-    WriteCompositionCache(gdir + "/compose.snap", payload);
-  }
   std::vector<EdgeUpdate> removed;
   removed.reserve(deleted_base_.size());
   for (const auto& [src, label, dst] : deleted_base_) {
@@ -564,13 +536,10 @@ bool ShardedRlcService::ComposeProbe(VertexId s, VertexId t,
     if (probe_timed_out) {
       // The budget expired *inside* the traversal: the probe carries no
       // answer (overrun bounded by one deadline-check stride). The overrun
-      // is compose-breaker failure evidence and marks the source shard hot
-      // for budget adaptation.
+      // is compose-breaker failure evidence.
       c_.compose_overruns.Inc();
       c_.deadline_exceeded.Inc();
-      compose_->NoteShardOverrun(source_shard);
       BreakerFail(compose_breaker_);
-      RunBudgetAdaptation();
       throw UnavailableError(
           "ShardedRlcService: composed probe exceeded probe_budget_ns");
     }
@@ -581,12 +550,10 @@ bool ShardedRlcService::ComposeProbe(VertexId s, VertexId t,
       // breaker — sustained slowness trips it into fail-fast instead of
       // latency collapse.
       c_.compose_overruns.Inc();
-      compose_->NoteShardOverrun(source_shard);
       BreakerFail(compose_breaker_);
     } else {
       BreakerOk(compose_breaker_);
     }
-    RunBudgetAdaptation();
     return answer;
   } catch (const UnavailableError&) {
     throw;
@@ -594,17 +561,6 @@ bool ShardedRlcService::ComposeProbe(VertexId s, VertexId t,
     BreakerFail(compose_breaker_);
     throw UnavailableError(
         std::string("ShardedRlcService: composed probe failed: ") + e.what());
-  }
-}
-
-void ShardedRlcService::RunBudgetAdaptation(bool force_round) {
-  const BudgetAdaptation adapted = compose_->AdaptTableBudgets(force_round);
-  if (adapted.boosts == 0 && adapted.releases == 0) return;
-  if (adapted.boosts > 0) c_.budget_boosts.Add(adapted.boosts);
-  if (adapted.releases > 0) c_.budget_releases.Add(adapted.releases);
-  for (uint32_t s = 0; s < partition_.num_shards(); ++s) {
-    shard_budget_gauges_[s]->Set(
-        static_cast<int64_t>(compose_->EffectiveTableBudget(s)));
   }
 }
 
@@ -1049,13 +1005,12 @@ AnswerBatch ShardedRlcService::Execute(const QueryBatch& batch,
             const uint64_t elapsed = timed_probes ? obs::NowNanos() - t0 : 0;
             if (probe_timed_out) {
               // Aborted mid-traversal: partial telemetry, no answer. The
-              // overrun is attributed (heat + counter) only when the probe
-              // budget — not just the batch deadline — was binding.
+              // overrun counts only when the probe budget — not just the
+              // batch deadline — was binding.
               jb.statuses[k] = ProbeStatus::kDeadlineExceeded;
               if (limits.probe_budget_ns != 0 &&
                   elapsed >= limits.probe_budget_ns) {
                 ++jb.overruns;
-                compose_->NoteShardOverrun(partition_.ShardOf(p.s));
               }
               continue;
             }
@@ -1065,7 +1020,6 @@ AnswerBatch ShardedRlcService::Execute(const QueryBatch& batch,
             if (limits.probe_budget_ns != 0 &&
                 elapsed > limits.probe_budget_ns) {
               ++jb.overruns;
-              compose_->NoteShardOverrun(partition_.ShardOf(p.s));
             }
           } catch (const std::exception&) {
             jb.failed = true;
@@ -1138,9 +1092,6 @@ AnswerBatch ShardedRlcService::Execute(const QueryBatch& batch,
     c_.deadline_exceeded.Add(out.num_deadline_exceeded);
   }
   c_.batch_groups.Add(out.num_groups);
-  // Owner-thread adapt step between batches: drain this batch's heat and
-  // re-budget hot/cold shards (tables refresh lazily on the next probe).
-  RunBudgetAdaptation();
   if (metrics_on) h_.execute_ns.Record(obs::NowNanos() - t_start);
   return out;
 }

@@ -12,10 +12,10 @@
 // Barabasi-Albert, and planted-partition community graphs — scalar Query
 // and batched Execute both — over probe sets that cover every endpoint
 // category: both endpoints boundary vertices, both interior, and mixed.
-// A second group round-trips the composition warm cache through
-// SerializeCache / WriteCompositionCache / ReadCompositionCache /
-// RestoreCache, including corruption, shape-mismatch, malformed-row and
-// old-version rejection.
+// Further groups pin the skeleton frontier cache (bit-exact against the
+// cache-off path, with transition rows and with on-the-fly expansion) and
+// recovery of durable stores that still carry a composition warm-cache
+// file from older versions.
 
 #include <gtest/gtest.h>
 
@@ -27,7 +27,6 @@
 #include <string>
 #include <vector>
 
-#include "rlc/core/index_io.h"
 #include "rlc/core/indexer.h"
 #include "rlc/graph/generators.h"
 #include "rlc/graph/label_assign.h"
@@ -187,20 +186,7 @@ TEST(CompositionSweepTest, Community) {
 }
 
 // ---------------------------------------------------------------------------
-// Warm-cache IO: SerializeCache payloads survive the file framing, restore
-// into a same-shape engine byte-deterministically, and are rejected (engine
-// stays usable, cold) on corruption or a different partition shape.
-
-std::string TempCachePath() {
-  std::string templ =
-      (fs::temp_directory_path() / "rlc_compose_cache_XXXXXX").string();
-  std::vector<char> buf(templ.begin(), templ.end());
-  buf.push_back('\0');
-  if (::mkdtemp(buf.data()) == nullptr) {
-    throw std::runtime_error("mkdtemp failed for " + templ);
-  }
-  return std::string(buf.data()) + "/compose.snap";
-}
+// Engine fixtures: a partition plus one dynamic index per shard.
 
 struct EngineParts {
   GraphPartition partition;
@@ -222,195 +208,19 @@ EngineParts MakeParts(const DiGraph& g, uint32_t num_shards,
   return parts;
 }
 
-TEST(CompositionCacheIoTest, RoundTripRestoresWarmTables) {
-  const DiGraph g = ErGraph(60, 260, 3, 0x10);
-  const EngineParts parts = MakeParts(g, 3, PartitionPolicy::kHash);
-  CompositionEngine warm(parts.partition, parts.shards);
+// ---------------------------------------------------------------------------
+// Stores written while the composition engine persisted its transition rows
+// hold a gen-<G>/compose.snap. Recovery never reads it: garbage in that file
+// must neither fail recovery nor change an answer, and the file leaves with
+// its generation when a later checkpoint prunes it.
 
-  // Warm the cache: prepare plans and run probes so transition rows build.
-  Rng rng(0x10);
-  CompositionEngine::Scratch scratch;
-  std::vector<LabelSeq> seqs;
-  for (uint32_t i = 0; i < 4; ++i) {
-    seqs.push_back(RandomPrimitiveSeq(1 + i % 2, g.num_labels(), rng));
-  }
-  std::vector<std::pair<VertexId, VertexId>> pairs;
-  for (int i = 0; i < 40; ++i) {
-    pairs.emplace_back(static_cast<VertexId>(rng.Below(g.num_vertices())),
-                       static_cast<VertexId>(rng.Below(g.num_vertices())));
-  }
-  std::vector<uint8_t> want;
-  for (const LabelSeq& seq : seqs) {
-    const CompositionEngine::Plan& plan = warm.PreparePlan(seq);
-    for (const auto& [s, t] : pairs) {
-      want.push_back(warm.ComposedQuery(s, t, plan, scratch).reachable ? 1 : 0);
-    }
-  }
-
-  // Payload -> file -> payload is identity.
-  const std::vector<uint8_t> payload = warm.SerializeCache();
-  const std::string path = TempCachePath();
-  WriteCompositionCache(path, payload);
-  const std::vector<uint8_t> read = ReadCompositionCache(path);
-  EXPECT_EQ(payload, read);
-
-  // Restore into a fresh engine over the same partition shape: accepted,
-  // resaves byte-identically, and answers match the warm engine.
-  CompositionEngine cold(parts.partition, parts.shards);
-  ASSERT_TRUE(cold.RestoreCache(read));
-  EXPECT_EQ(cold.SerializeCache(), payload);
-  CompositionEngine::Scratch cold_scratch;
-  size_t i = 0;
-  for (const LabelSeq& seq : seqs) {
-    const CompositionEngine::Plan& plan = cold.PreparePlan(seq);
-    for (const auto& [s, t] : pairs) {
-      EXPECT_EQ(want[i++] != 0,
-                cold.ComposedQuery(s, t, plan, cold_scratch).reachable)
-          << "s=" << s << " t=" << t << " L=" << seq.ToString();
-    }
-  }
-
-  // Corruption is detectable: any flipped byte fails the framing checksum.
-  {
-    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
-    f.seekp(static_cast<std::streamoff>(fs::file_size(path) / 2));
-    char b = 0;
-    f.seekg(static_cast<std::streamoff>(fs::file_size(path) / 2));
-    f.read(&b, 1);
-    f.seekp(static_cast<std::streamoff>(fs::file_size(path) / 2));
-    b = static_cast<char>(b ^ 0x40);
-    f.write(&b, 1);
-  }
-  EXPECT_THROW(ReadCompositionCache(path), std::runtime_error);
-
-  // Shape mismatch: a different shard count rejects the payload but the
-  // engine stays fully usable (cold).
-  const EngineParts other = MakeParts(g, 4, PartitionPolicy::kRange);
-  CompositionEngine mismatched(other.partition, other.shards);
-  EXPECT_FALSE(mismatched.RestoreCache(payload));
-  EXPECT_EQ(mismatched.num_cached_plans(), 0u);
-  CompositionEngine::Scratch mm_scratch;
-  const CompositionEngine::Plan& plan = mismatched.PreparePlan(seqs[0]);
-  (void)mismatched.ComposedQuery(pairs[0].first, pairs[0].second, plan,
-                                 mm_scratch);
-
-  fs::remove_all(fs::path(path).parent_path());
-}
-
-void AppendU32(std::vector<uint8_t>& out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
-
-void AppendU64(std::vector<uint8_t>& out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
-
-TEST(CompositionCacheIoTest, RestoreRejectsMalformedRows) {
-  // Hand-framed payloads in the SerializeCache layout: one constraint, one
-  // row in the first shard with a transition table. Malformed rows are
-  // rejected before they allocate or land in a table, and the engine stays
-  // cold and answers like a fresh one.
-  const DiGraph g = ErGraph(60, 260, 3, 0x12);
-  const EngineParts parts = MakeParts(g, 3, PartitionPolicy::kHash);
-  CompositionEngine engine(parts.partition, parts.shards);
-  CompositionEngine fresh(parts.partition, parts.shards);
-  const std::vector<Label> labels{0, 1};
-  const LabelSeq seq{std::span<const Label>(labels)};
-  const uint32_t j = seq.size();
-  const uint64_t num_pids = uint64_t{g.num_vertices()} * j;
-
-  uint32_t table_shard = parts.partition.num_shards();
-  {
-    const CompositionEngine::Plan& plan = fresh.PreparePlan(seq);
-    for (uint32_t s = 0; s < parts.partition.num_shards(); ++s) {
-      if (plan.shards[s]->tables) {
-        table_shard = s;
-        break;
-      }
-    }
-  }
-  ASSERT_LT(table_shard, parts.partition.num_shards())
-      << "no shard fits the default table budget";
-
-  // `rows` rows are announced for the table shard; only the first is
-  // written: index 0, length field `len`, successor ids `succ`.
-  const auto payload = [&](uint32_t rows, uint32_t len,
-                           const std::vector<uint64_t>& succ) {
-    const CompositionEngine::Plan& plan = fresh.PreparePlan(seq);
-    std::vector<uint8_t> out;
-    AppendU32(out, parts.partition.num_shards());
-    AppendU32(out, 1);
-    AppendU32(out, j);
-    for (uint32_t i = 0; i < j; ++i) AppendU32(out, seq[i]);
-    for (uint32_t s = 0; s < parts.partition.num_shards(); ++s) {
-      const CompositionEngine::ShardPlan& sp = *plan.shards[s];
-      out.push_back(sp.tables ? 1 : 0);
-      AppendU32(out, sp.num_boundary);
-      AppendU32(out, s == table_shard ? rows : 0);
-      if (s != table_shard) continue;
-      AppendU32(out, 0);
-      AppendU32(out, len);
-      for (const uint64_t pid : succ) AppendU64(out, pid);
-    }
-    return out;
-  };
-
-  // Control: a well-formed payload restores.
-  ASSERT_TRUE(engine.RestoreCache(payload(1, 2, {1, num_pids - 1})));
-  EXPECT_EQ(engine.num_cached_plans(), 1u);
-
-  const std::vector<std::pair<std::string, std::vector<uint8_t>>> bad = {
-      {"successor count beyond the payload", payload(1, 1u << 30, {1})},
-      {"row count beyond the payload", payload(1u << 30, 1, {1})},
-      {"announced row missing", payload(2, 1, {1})},
-      {"successor id out of range", payload(1, 1, {num_pids})},
-      {"successors not increasing", payload(1, 2, {5, 5})},
-  };
-  Rng rng(0x12);
-  CompositionEngine::Scratch scratch, fresh_scratch;
-  for (const auto& [what, bytes] : bad) {
-    SCOPED_TRACE(what);
-    EXPECT_FALSE(engine.RestoreCache(bytes));
-    EXPECT_EQ(engine.num_cached_plans(), 0u);
-    const CompositionEngine::Plan& plan = engine.PreparePlan(seq);
-    const CompositionEngine::Plan& fresh_plan = fresh.PreparePlan(seq);
-    for (int i = 0; i < 20; ++i) {
-      const auto s = static_cast<VertexId>(rng.Below(g.num_vertices()));
-      const auto t = static_cast<VertexId>(rng.Below(g.num_vertices()));
-      ASSERT_EQ(engine.ComposedQuery(s, t, plan, scratch).reachable,
-                fresh.ComposedQuery(s, t, fresh_plan, fresh_scratch).reachable)
-          << "s=" << s << " t=" << t;
-    }
-  }
-}
-
-TEST(CompositionCacheIoTest, ReadRejectsVersionOneFraming) {
-  // Version 1 payloads held bitset rows; a file framed as version 1 must
-  // not reach RestoreCache at all.
-  const std::string path = TempCachePath();
-  WriteCompositionCache(path, std::vector<uint8_t>{1, 2, 3, 4});
-  ASSERT_EQ(ReadCompositionCache(path), (std::vector<uint8_t>{1, 2, 3, 4}));
-  {
-    // Framing: u64 magic, then the u32 version.
-    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
-    f.seekp(8);
-    const uint32_t v1 = 1;
-    f.write(reinterpret_cast<const char*>(&v1), sizeof(v1));
-  }
-  EXPECT_THROW(ReadCompositionCache(path), std::runtime_error);
-  fs::remove_all(fs::path(path).parent_path());
-}
-
-TEST(CompositionCacheIoTest, ServiceCheckpointCarriesComposeSnap) {
-  // End to end through the service: a checkpointed generation contains
-  // compose.snap; deleting it does NOT break recovery (pure warm cache) —
-  // the reopened service answers identically either way.
+TEST(LegacyStoreTest, StaleWarmCacheFileIsIgnoredAndPruned) {
   const DiGraph g = ErGraph(50, 200, 3, 0x20);
   const RlcIndex oracle = BuildSealed(g, 2);
   std::string dir;
   {
     std::string templ =
-        (fs::temp_directory_path() / "rlc_compose_svc_XXXXXX").string();
+        (fs::temp_directory_path() / "rlc_legacy_store_XXXXXX").string();
     std::vector<char> buf(templ.begin(), templ.end());
     buf.push_back('\0');
     ASSERT_NE(::mkdtemp(buf.data()), nullptr);
@@ -421,38 +231,52 @@ TEST(CompositionCacheIoTest, ServiceCheckpointCarriesComposeSnap) {
   options.indexer.k = 2;
   options.durability.dir = dir;
   options.durability.checkpoint_wal_bytes = 0;
+  options.durability.keep_generations = 1;
   Rng rng(0x20);
   {
     ShardedRlcService service(g, options);
-    for (int i = 0; i < 200; ++i) {  // warm the compose cache
+    for (int i = 0; i < 200; ++i) {  // build transition rows and frontiers
       service.Query(static_cast<VertexId>(rng.Below(g.num_vertices())),
                     static_cast<VertexId>(rng.Below(g.num_vertices())),
                     RandomPrimitiveSeq(1 + rng.Below(2), g.num_labels(), rng));
     }
     service.Checkpoint();
   }
-  std::vector<fs::path> snaps;
-  for (const auto& entry : fs::recursive_directory_iterator(dir)) {
-    if (entry.path().filename() == "compose.snap") snaps.push_back(entry);
-  }
-  ASSERT_FALSE(snaps.empty()) << "checkpoint wrote no compose.snap under "
-                              << dir;
-  const auto check = [&] {
-    ShardedRlcService reopened(g, options);
-    EXPECT_TRUE(reopened.recovery_info().recovered);
-    Rng prng(0x21);
-    for (int i = 0; i < 400; ++i) {
-      const auto s = static_cast<VertexId>(prng.Below(g.num_vertices()));
-      const auto t = static_cast<VertexId>(prng.Below(g.num_vertices()));
-      const LabelSeq c =
-          RandomPrimitiveSeq(1 + prng.Below(2), g.num_labels(), prng);
-      ASSERT_EQ(oracle.Query(s, t, c), reopened.Query(s, t, c))
-          << "s=" << s << " t=" << t << " L=" << c.ToString();
+  std::vector<fs::path> legacy;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    if (!entry.is_directory() ||
+        entry.path().filename().string().rfind("gen-", 0) != 0) {
+      continue;
     }
-  };
-  check();                                       // warm restore path
-  for (const fs::path& p : snaps) fs::remove(p);
-  check();                                       // cold path: cache absent
+    legacy.push_back(entry.path() / "compose.snap");
+    std::ofstream out(legacy.back(), std::ios::binary);
+    Rng garbage(0x22);
+    for (int i = 0; i < 4096; ++i) {
+      out.put(static_cast<char>(garbage.Below(256)));
+    }
+  }
+  ASSERT_FALSE(legacy.empty()) << "checkpoint wrote no generation under "
+                               << dir;
+
+  ShardedRlcService reopened(g, options);
+  ASSERT_TRUE(reopened.recovery_info().recovered);
+  EXPECT_FALSE(reopened.recovery_info().fell_back);
+  Rng prng(0x21);
+  for (int i = 0; i < 400; ++i) {
+    const auto s = static_cast<VertexId>(prng.Below(g.num_vertices()));
+    const auto t = static_cast<VertexId>(prng.Below(g.num_vertices()));
+    const LabelSeq c =
+        RandomPrimitiveSeq(1 + prng.Below(2), g.num_labels(), prng);
+    ASSERT_EQ(oracle.Query(s, t, c), reopened.Query(s, t, c))
+        << "s=" << s << " t=" << t << " L=" << c.ToString();
+  }
+
+  // keep_generations = 1: the next checkpoint prunes every older
+  // generation directory, the stale file with it.
+  reopened.Checkpoint();
+  for (const fs::path& p : legacy) {
+    EXPECT_FALSE(fs::exists(p)) << p << " outlived its generation";
+  }
   fs::remove_all(dir);
 }
 
@@ -478,11 +302,10 @@ void RunFrontierCacheCell(const DiGraph& g, const RlcIndex& oracle,
   ServiceOptions cold_opts = cached_opts;
   cold_opts.compose.frontier_cache_entries = 0;  // cache off
   // On-the-fly axis: a budget of one boundary product state admits no
-  // transition table (and adaptivity cannot boost one), so every shard
-  // expands per probe instead of walking successor rows.
+  // transition table, so every shard expands per probe instead of walking
+  // successor rows.
   ServiceOptions otf_cached_opts = cached_opts;
   otf_cached_opts.compose.table_budget_nodes = 1;
-  otf_cached_opts.compose.adaptive_tables = false;
   ServiceOptions otf_cold_opts = otf_cached_opts;
   otf_cold_opts.compose.frontier_cache_entries = 0;
   ShardedRlcService cached(g, cached_opts);
@@ -673,96 +496,6 @@ TEST(FrontierCacheTest, CapacityPressureEvictsLruAndKeepsAnswers) {
   EXPECT_GT(evictions, 0u) << "2-entry cache never felt capacity pressure";
   EXPECT_LE(engine.num_cached_frontiers(), 2u);
   EXPECT_EQ(misses, evictions + engine.num_cached_frontiers());
-}
-
-// ---------------------------------------------------------------------------
-// Adaptive table budgets: heat boosts a hot shard's effective budget (its
-// tables materialize past the static cap), quiet rounds release the boost,
-// and answers are bit-identical in every budget state.
-
-TEST(AdaptiveBudgetTest, BoostAndReleaseLifecycle) {
-  const DiGraph g = ErGraph(60, 260, 3, 0x31);
-  const EngineParts parts = MakeParts(g, 3, PartitionPolicy::kHash);
-  ComposeOptions copts;
-  copts.table_budget_nodes = 1;        // every shard starts over budget
-  copts.adaptive_tables = true;
-  copts.hot_budget_multiplier = 4096;  // boosted budget covers every shard
-  copts.hot_expand_threshold = 1;      // one on-the-fly expansion = hot
-  copts.adapt_min_probes = 1;
-  copts.cold_release_rounds = 2;
-  copts.frontier_cache_entries = 0;  // keep heat attribution direct
-  CompositionEngine engine(parts.partition, parts.shards, copts);
-
-  Rng rng(0x31);
-  std::vector<LabelSeq> seqs;
-  for (uint32_t i = 0; i < 4; ++i) {
-    seqs.push_back(RandomPrimitiveSeq(1 + i % 2, g.num_labels(), rng));
-  }
-  std::vector<std::pair<VertexId, VertexId>> pairs;
-  for (int i = 0; i < 40; ++i) {
-    pairs.emplace_back(static_cast<VertexId>(rng.Below(g.num_vertices())),
-                       static_cast<VertexId>(rng.Below(g.num_vertices())));
-  }
-  CompositionEngine::Scratch scratch;
-  const auto run_probes = [&] {
-    std::vector<uint8_t> answers;
-    uint64_t expanded = 0;
-    for (const LabelSeq& seq : seqs) {
-      const CompositionEngine::Plan& plan = engine.PreparePlan(seq);
-      for (const auto& [s, t] : pairs) {
-        const ComposeResult r = engine.ComposedQuery(s, t, plan, scratch);
-        answers.push_back(r.reachable ? 1 : 0);
-        expanded += r.expanded;
-      }
-    }
-    return std::make_pair(answers, expanded);
-  };
-
-  // Cold: budget 1 admits no tables, everything expands on the fly.
-  const auto [want, cold_expanded] = run_probes();
-  ASSERT_GT(cold_expanded, 0u);
-  for (uint32_t s = 0; s < parts.partition.num_shards(); ++s) {
-    ASSERT_FALSE(engine.ShardBoosted(s));
-  }
-
-  // The expansion heat marks shards hot; the round boosts them.
-  const BudgetAdaptation boosted = engine.AdaptTableBudgets(/*force_round=*/true);
-  EXPECT_GT(boosted.boosts, 0u);
-  EXPECT_EQ(boosted.releases, 0u);
-  bool any_boosted = false;
-  for (uint32_t s = 0; s < parts.partition.num_shards(); ++s) {
-    if (!engine.ShardBoosted(s)) continue;
-    any_boosted = true;
-    EXPECT_EQ(engine.EffectiveTableBudget(s),
-              copts.table_budget_nodes * copts.hot_budget_multiplier);
-  }
-  ASSERT_TRUE(any_boosted);
-
-  // Boosted: plans refresh (budget epoch), tables materialize, answers are
-  // bit-identical and the on-the-fly volume collapses.
-  const auto [boosted_answers, boosted_expanded] = run_probes();
-  EXPECT_EQ(boosted_answers, want);
-  EXPECT_LT(boosted_expanded, cold_expanded);
-
-  // Quiet rounds release the boost. The first forced round drains the
-  // boosted run's heat (its pops keep the boost alive), so the quiet
-  // streak starts counting after it: cold_release_rounds + 1 rounds total.
-  BudgetAdaptation released;
-  for (uint32_t round = 0; round < copts.cold_release_rounds + 1; ++round) {
-    const BudgetAdaptation r = engine.AdaptTableBudgets(/*force_round=*/true);
-    released.boosts += r.boosts;
-    released.releases += r.releases;
-  }
-  EXPECT_GT(released.releases, 0u);
-  for (uint32_t s = 0; s < parts.partition.num_shards(); ++s) {
-    EXPECT_FALSE(engine.ShardBoosted(s));
-    EXPECT_EQ(engine.EffectiveTableBudget(s), copts.table_budget_nodes);
-  }
-
-  // ...and the released engine still answers bit-identically.
-  const auto [released_answers, released_expanded] = run_probes();
-  EXPECT_EQ(released_answers, want);
-  EXPECT_EQ(released_expanded, cold_expanded);
 }
 
 }  // namespace

@@ -367,6 +367,10 @@ struct ShardedFuzzConfig {
   /// service default): constant LRU churn on top of the epoch invalidation
   /// the mutations already force.
   size_t tiny_frontier_cache = 0;
+  /// Transition-table budget in boundary product states (0 keeps the
+  /// service default). 1 admits no table, so every skeleton hop expands
+  /// the shard's product graph on the fly through the dynamic overlays.
+  uint32_t table_budget_nodes = 0;
 };
 
 void RunShardedFuzz(ShardedFuzzConfig config) {
@@ -395,6 +399,9 @@ void RunShardedFuzz(ShardedFuzzConfig config) {
   }
   if (config.tiny_frontier_cache != 0) {
     options.compose.frontier_cache_entries = config.tiny_frontier_cache;
+  }
+  if (config.table_budget_nodes != 0) {
+    options.compose.table_budget_nodes = config.table_budget_nodes;
   }
   ShardedRlcService service(g, options);
 
@@ -480,6 +487,11 @@ void RunShardedFuzz(ShardedFuzzConfig config) {
             stats.frontier_evictions +
                 service.composition().num_cached_frontiers())
       << replay;
+  if (config.table_budget_nodes == 1) {
+    EXPECT_GT(stats.compose_skeleton_hops, 0u) << replay;
+    EXPECT_EQ(stats.compose_table_builds, 0u)
+        << "a budget of 1 built transition rows" << replay;
+  }
 }
 
 TEST(MutationFuzzTest, ShardedComposeHash) {
@@ -516,6 +528,26 @@ TEST(MutationFuzzTest, ShardedComposeCrossChurnTinyFrontierCache) {
                   .rounds = 2,
                   .batch_size = 8,
                   .tiny_frontier_cache = 4});
+}
+
+// On-the-fly expansion under mutation. The 120-vertex graphs' boundary
+// product graphs fit the default table budget, so only a budget of 1 sends
+// every skeleton hop through the per-probe product BFS. Cross-edge churn
+// flips the skeleton under it; only the mixed schedule inserts and deletes
+// intra-shard edges, the overlay (ExtraOut / OutEdgeRemoved) that BFS walks.
+TEST(MutationFuzzTest, ShardedComposeCrossChurnOnTheFly) {
+  RunShardedFuzz({.name = "sharded_cross_churn_on_the_fly",
+                  .seed = 0x56,
+                  .cross_bias = true,
+                  .rounds = 2,
+                  .batch_size = 8,
+                  .table_budget_nodes = 1});
+}
+
+TEST(MutationFuzzTest, ShardedComposeMixedChurnOnTheFly) {
+  RunShardedFuzz({.name = "sharded_mixed_churn_on_the_fly",
+                  .seed = 0x57,
+                  .table_budget_nodes = 1});
 }
 
 TEST(MutationFuzzTest, ShardedComposeRangeOrdered) {
