@@ -14,24 +14,27 @@
 //
 //   rlc_tool stats <graph.txt | store-dir>
 //       For a graph file: print Table III-style statistics. For a durable
-//       store directory (MANIFEST + snapshots + WALs): print the retained
-//       generations with their on-disk sizes, then the newest snapshot's
-//       embedded-index summary rendered through the metrics registry
-//       (Prometheus text, index.* / store.* gauges).
+//       store directory (MANIFEST, gen-<G>/ snapshot directories, WALs):
+//       print the retained generations with the sizes of service.snap, the
+//       shard snapshots and the WAL, then the newest generation rendered
+//       through the metrics registry (Prometheus text): store.* gauges
+//       from service.snap and one index.shard.<i>.* summary per shard.
 //
 //   rlc_tool inspect <index.rlc>
 //       Print size breakdown, entry distribution and MR-length histogram of
 //       a saved index.
 //
-//   rlc_tool recover <graph.txt> <store-dir> [k]
-//       Open a durable store directory (MANIFEST + snapshot + WAL files,
-//       see docs/durability.md), run crash recovery, and report what was
-//       found: the generation loaded, WAL batches replayed, torn bytes
-//       dropped, and any fallback to an older generation. A directory with
-//       no durable state builds a fresh index (recursion bound k) instead.
-//       Either way the store is left checkpointed at a clean generation.
+//   rlc_tool recover <graph.txt> <store-dir> [k] [shards]
+//       Open a durable store directory as a durable ShardedRlcService
+//       (default 1 shard: the single-index store; see docs/durability.md),
+//       run crash recovery, and report what was found: the generation
+//       loaded, WAL batches replayed, torn bytes dropped, and any fallback
+//       to an older generation. A directory with no durable state builds
+//       fresh indexes (recursion bound k, default 2) instead. Either way
+//       the store is left checkpointed at a clean generation. A store
+//       written with another k or shard count is refused (exit 1).
 //
-//   rlc_tool checkpoint <graph.txt> <store-dir> [k]
+//   rlc_tool checkpoint <graph.txt> <store-dir> [k] [shards]
 //       Open a durable store (recovering if needed) and force an extra
 //       checkpoint, folding any replayed WAL tail into a new snapshot
 //       generation.
@@ -43,9 +46,9 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <string>
 
-#include "rlc/core/durable_index.h"
 #include "rlc/core/index_io.h"
 #include "rlc/core/index_stats.h"
 #include "rlc/core/indexer.h"
@@ -53,6 +56,7 @@
 #include "rlc/graph/edge_list_io.h"
 #include "rlc/graph/stats.h"
 #include "rlc/obs/metrics.h"
+#include "rlc/serve/sharded_service.h"
 #include "rlc/util/timer.h"
 
 using namespace rlc;
@@ -66,8 +70,8 @@ int Usage() {
                "  rlc_tool query <graph.txt> <index.rlc> <s> <t> <constraint>\n"
                "  rlc_tool stats <graph.txt | store-dir>\n"
                "  rlc_tool inspect <index.rlc>\n"
-               "  rlc_tool recover <graph.txt> <store-dir> [k]\n"
-               "  rlc_tool checkpoint <graph.txt> <store-dir> [k]\n");
+               "  rlc_tool recover <graph.txt> <store-dir> [k] [shards]\n"
+               "  rlc_tool checkpoint <graph.txt> <store-dir> [k] [shards]\n");
   return 2;
 }
 
@@ -141,8 +145,8 @@ uint64_t FileBytes(const std::string& path) {
 }
 
 /// `stats` on a durable store directory: manifest + file sizes, then the
-/// newest snapshot's index summary published as registry gauges so the
-/// output matches what the server's periodic dumps expose.
+/// newest generation published as registry gauges so the output matches
+/// what the server's periodic dumps expose.
 int StoreStats(const std::string& dir) {
   const DurabilityManifest manifest = ReadManifest(dir);
   if (manifest.generations.empty()) {
@@ -150,35 +154,58 @@ int StoreStats(const std::string& dir) {
                 dir.c_str());
     return 0;
   }
+  auto gen_file = [&](uint64_t gen, const std::string& name) {
+    return dir + "/gen-" + std::to_string(gen) + "/" + name;
+  };
+  auto shard_path = [&](uint64_t gen, uint32_t shard) {
+    return gen_file(gen, "shard-" + std::to_string(shard) + ".snap");
+  };
+  auto num_shards = [&](uint64_t gen) {
+    uint32_t n = 0;
+    while (std::filesystem::exists(shard_path(gen, n))) ++n;
+    return n;
+  };
   std::printf("store %s: %zu retained generation(s), newest first\n",
               dir.c_str(), manifest.generations.size());
   for (const SnapshotGeneration& gen : manifest.generations) {
-    const std::string snap = SnapshotPath(dir, gen.generation);
-    const std::string wal = WalPath(dir, gen.generation);
-    std::printf("  gen %llu: applied_lsn=%llu snapshot %llu bytes, "
-                "wal %llu bytes\n",
+    const uint32_t shards = num_shards(gen.generation);
+    uint64_t shard_bytes = 0;
+    for (uint32_t s = 0; s < shards; ++s) {
+      shard_bytes += FileBytes(shard_path(gen.generation, s));
+    }
+    std::printf("  gen %llu: applied_lsn=%llu service.snap %llu bytes, "
+                "%u shard snapshot(s) %llu bytes, wal %llu bytes\n",
                 static_cast<unsigned long long>(gen.generation),
                 static_cast<unsigned long long>(gen.applied_lsn),
-                static_cast<unsigned long long>(FileBytes(snap)),
-                static_cast<unsigned long long>(FileBytes(wal)));
+                static_cast<unsigned long long>(
+                    FileBytes(gen_file(gen.generation, "service.snap"))),
+                shards, static_cast<unsigned long long>(shard_bytes),
+                static_cast<unsigned long long>(
+                    FileBytes(WalPath(dir, gen.generation))));
   }
 
-  const SnapshotGeneration& newest = manifest.generations.front();
-  const LoadedSnapshot snap =
-      LoadSnapshotFile(SnapshotPath(dir, newest.generation));
+  const uint64_t newest = manifest.generations.front().generation;
+  const LoadedSnapshot meta =
+      LoadSnapshotFile(gen_file(newest, "service.snap"));
+  const uint32_t shards = num_shards(newest);
   obs::Registry reg;
-  reg.GetGauge("store.generation").Set(static_cast<int64_t>(newest.generation));
-  reg.GetGauge("store.applied_lsn").Set(static_cast<int64_t>(snap.applied_lsn));
+  reg.GetGauge("store.generation").Set(static_cast<int64_t>(newest));
+  reg.GetGauge("store.applied_lsn").Set(static_cast<int64_t>(meta.applied_lsn));
   reg.GetGauge("store.overlay_inserted")
-      .Set(static_cast<int64_t>(snap.inserted.size()));
+      .Set(static_cast<int64_t>(meta.inserted.size()));
   reg.GetGauge("store.overlay_removed")
-      .Set(static_cast<int64_t>(snap.removed.size()));
+      .Set(static_cast<int64_t>(meta.removed.size()));
   reg.GetGauge("store.wal_bytes")
-      .Set(static_cast<int64_t>(FileBytes(WalPath(dir, newest.generation))));
-  if (snap.index.has_value()) {
-    PublishIndexSummary(Summarize(*snap.index), reg);
-  } else {
-    std::printf("  (newest snapshot is overlay-only: no embedded index)\n");
+      .Set(static_cast<int64_t>(FileBytes(WalPath(dir, newest))));
+  reg.GetGauge("store.shards").Set(shards);
+  for (uint32_t s = 0; s < shards; ++s) {
+    const LoadedSnapshot snap = LoadSnapshotFile(shard_path(newest, s));
+    if (!snap.index) {
+      throw std::runtime_error(shard_path(newest, s) +
+                               " has no embedded index");
+    }
+    PublishIndexSummary(Summarize(*snap.index), reg,
+                        "index.shard." + std::to_string(s));
   }
   std::printf("%s", reg.Snapshot().ToPrometheusText().c_str());
   return 0;
@@ -214,15 +241,18 @@ int CmdInspect(int argc, char** argv) {
 int CmdDurable(int argc, char** argv, bool force_checkpoint) {
   if (argc < 4) return Usage();
   const uint32_t k = argc > 4 ? static_cast<uint32_t>(std::atoi(argv[4])) : 2;
+  const long shards = argc > 5 ? std::atol(argv[5]) : 1;
+  if (shards < 1 || shards > 4096) {
+    std::fprintf(stderr, "invalid shard count (want 1..4096)\n");
+    return 2;
+  }
   const DiGraph g = LoadEdgeListText(argv[2]);
-  DurabilityOptions opts;
-  opts.dir = argv[3];
-  DurableDynamicIndex store(g, opts, [&] {
-    IndexerOptions options;
-    options.k = k;
-    options.seal = true;
-    return RlcIndexBuilder(g, options).Build();
-  });
+  ServiceOptions options;
+  options.partition.num_shards = static_cast<uint32_t>(shards);
+  options.indexer.k = k;
+  options.build_threads = 1;
+  options.durability.dir = argv[3];
+  ShardedRlcService store(g, options);
   const RecoveryInfo& r = store.recovery_info();
   if (r.recovered) {
     std::printf("recovered generation %llu (snapshot lsn %llu): "
@@ -236,8 +266,9 @@ int CmdDurable(int argc, char** argv, bool force_checkpoint) {
                   r.fallback_reason.c_str());
     }
   } else {
-    std::printf("no durable state in %s: built a fresh index (k=%u)\n",
-                argv[3], k);
+    std::printf("no durable state in %s: built a fresh index (k=%u, "
+                "%ld shard(s))\n",
+                argv[3], k, shards);
   }
   if (force_checkpoint) store.Checkpoint();
   std::printf("store at generation %llu, lsn %llu\n",

@@ -9,7 +9,6 @@
 #include <stdexcept>
 
 #include "rlc/obs/trace.h"
-#include "rlc/util/failpoint.h"
 
 namespace fs = std::filesystem;
 
@@ -136,10 +135,6 @@ std::vector<uint64_t> ListGenerationFiles(const std::string& dir,
   return gens;
 }
 
-std::string SnapshotPath(const std::string& dir, uint64_t gen) {
-  return dir + "/snapshot-" + std::to_string(gen) + ".snap";
-}
-
 std::string WalPath(const std::string& dir, uint64_t gen) {
   return dir + "/wal-" + std::to_string(gen) + ".log";
 }
@@ -216,172 +211,6 @@ LoadedSnapshot LoadSnapshotFile(const std::string& path) {
     snap.index = ReadIndex(is, path);
   }
   return snap;
-}
-
-DurableDynamicIndex::DurableDynamicIndex(
-    const DiGraph& g, DurabilityOptions opts,
-    const std::function<RlcIndex()>& build_base, ResealPolicy policy)
-    : g_(g), opts_(std::move(opts)) {
-  RLC_REQUIRE(!opts_.dir.empty(), "DurableDynamicIndex: opts.dir must be set");
-  std::error_code ec;
-  fs::create_directories(opts_.dir, ec);
-  if (ec) {
-    throw std::runtime_error("DurableDynamicIndex: cannot create " +
-                             opts_.dir + ": " + ec.message());
-  }
-  Recover(build_base, policy);
-  if (recovery_.recovered) ReplayWalTail(recovery_.generation);
-  // End every open at a clean generation boundary: the replayed state gets
-  // its own snapshot and a fresh WAL.
-  Checkpoint();
-  // Files whose generation the committed manifest no longer lists are
-  // leftovers of interrupted checkpoints/cleanups.
-  auto in_manifest = [&](uint64_t gen) {
-    for (const SnapshotGeneration& mg : manifest_.generations) {
-      if (mg.generation == gen) return true;
-    }
-    return false;
-  };
-  for (const uint64_t gen : ListGenerationFiles(opts_.dir, "snapshot-", ".snap")) {
-    if (!in_manifest(gen)) fs::remove(SnapshotPath(opts_.dir, gen), ec);
-  }
-  for (const uint64_t gen : ListGenerationFiles(opts_.dir, "wal-", ".log")) {
-    if (!in_manifest(gen)) fs::remove(WalPath(opts_.dir, gen), ec);
-  }
-}
-
-DurableDynamicIndex::~DurableDynamicIndex() = default;
-
-void DurableDynamicIndex::Recover(const std::function<RlcIndex()>& build_base,
-                                  const ResealPolicy& policy) {
-  bool manifest_corrupt = false;
-  try {
-    manifest_ = ReadManifest(opts_.dir);
-  } catch (const std::exception& e) {
-    // Degrade to a directory scan: the snapshots carry their own
-    // applied_lsn, the manifest is only the generation list.
-    manifest_corrupt = true;
-    recovery_.fallback_reason = e.what();
-    const std::vector<uint64_t> gens =
-        ListGenerationFiles(opts_.dir, "snapshot-", ".snap");
-    for (auto it = gens.rbegin(); it != gens.rend(); ++it) {
-      manifest_.generations.push_back({*it, 0});
-    }
-  }
-  for (const SnapshotGeneration& g : manifest_.generations) {
-    max_gen_seen_ = std::max(max_gen_seen_, g.generation);
-  }
-  for (const uint64_t gen : ListGenerationFiles(opts_.dir, "snapshot-", ".snap")) {
-    max_gen_seen_ = std::max(max_gen_seen_, gen);
-  }
-  for (const uint64_t gen : ListGenerationFiles(opts_.dir, "wal-", ".log")) {
-    max_gen_seen_ = std::max(max_gen_seen_, gen);
-  }
-
-  if (manifest_.generations.empty()) {
-    dyn_ = std::make_unique<DynamicRlcIndex>(g_, build_base(), policy);
-    return;
-  }
-
-  std::string first_error = recovery_.fallback_reason;
-  for (size_t i = 0; i < manifest_.generations.size(); ++i) {
-    const uint64_t gen = manifest_.generations[i].generation;
-    try {
-      LoadedSnapshot snap = LoadSnapshotFile(SnapshotPath(opts_.dir, gen));
-      if (!snap.index) {
-        throw std::runtime_error(SnapshotPath(opts_.dir, gen) +
-                                 " has no embedded index");
-      }
-      auto dyn =
-          std::make_unique<DynamicRlcIndex>(g_, std::move(*snap.index), policy);
-      dyn->RestoreOverlay(snap.inserted, snap.removed);
-      dyn_ = std::move(dyn);
-      last_lsn_ = snap.applied_lsn;
-      recovery_.recovered = true;
-      recovery_.generation = gen;
-      recovery_.snapshot_lsn = snap.applied_lsn;
-      recovery_.fell_back = i > 0 || manifest_corrupt;
-      return;
-    } catch (const std::exception& e) {
-      if (first_error.empty()) first_error = e.what();
-      recovery_.fell_back = true;
-      if (recovery_.fallback_reason.empty()) recovery_.fallback_reason = e.what();
-    }
-  }
-  // Durable generations exist but none is loadable: rebuilding an empty
-  // store over them would silently discard acknowledged data.
-  throw std::runtime_error(
-      "DurableDynamicIndex: no usable snapshot generation in " + opts_.dir +
-      " (" + first_error + ")");
-}
-
-void DurableDynamicIndex::ReplayWalTail(uint64_t from_gen) {
-  for (const uint64_t gen : ListGenerationFiles(opts_.dir, "wal-", ".log")) {
-    if (gen < from_gen) continue;
-    const WalReadResult res = ReadWalFile(WalPath(opts_.dir, gen));
-    recovery_.dropped_wal_bytes += res.dropped_bytes;
-    for (const WalRecord& record : res.records) {
-      if (record.lsn <= last_lsn_) continue;  // already in the snapshot
-      dyn_->ApplyUpdates(record.updates);
-      last_lsn_ = record.lsn;
-      ++recovery_.replayed_records;
-    }
-  }
-}
-
-size_t DurableDynamicIndex::ApplyUpdates(std::span<const EdgeUpdate> updates) {
-  if (updates.empty()) return 0;
-  // Log-then-apply: a throw here leaves the in-memory index untouched and
-  // the batch unacknowledged (its torn record, if any, fails the checksum).
-  wal_.Append(last_lsn_ + 1, updates);
-  ++last_lsn_;
-  const size_t applied = dyn_->ApplyUpdates(updates);
-  if (opts_.checkpoint_wal_bytes > 0 &&
-      wal_.bytes_appended() >= opts_.checkpoint_wal_bytes) {
-    Checkpoint();
-  }
-  return applied;
-}
-
-void DurableDynamicIndex::Checkpoint() {
-  const uint64_t next = std::max(generation_, max_gen_seen_) + 1;
-  WriteSnapshotFile(SnapshotPath(opts_.dir, next), last_lsn_,
-                    dyn_->inserted_edges(), dyn_->removed_edges(),
-                    &dyn_->index());
-  // Switch the WAL before the commit: batches acknowledged from here land
-  // in wal-<next>. If the commit below never happens, recovery targets the
-  // previous generation and still finds them — replay walks every WAL file
-  // at or above the recovered generation, LSN-gated.
-  const std::string previous_wal = wal_.path();
-  try {
-    wal_.Open(WalPath(opts_.dir, next));
-  } catch (...) {
-    if (!previous_wal.empty()) wal_.Open(previous_wal);
-    throw;
-  }
-  DurabilityManifest m;
-  m.generations.push_back({next, last_lsn_});
-  const uint32_t keep = std::max<uint32_t>(1, opts_.keep_generations);
-  for (const SnapshotGeneration& g : manifest_.generations) {
-    if (m.generations.size() >= keep) break;
-    m.generations.push_back(g);
-  }
-  CommitManifest(opts_.dir, m);  // the durability point
-  FailpointHit(failpoints::kCheckpointAfterCommit);
-  std::error_code ec;
-  for (const SnapshotGeneration& g : manifest_.generations) {
-    bool kept = false;
-    for (const SnapshotGeneration& k : m.generations) {
-      kept = kept || k.generation == g.generation;
-    }
-    if (!kept) {
-      fs::remove(SnapshotPath(opts_.dir, g.generation), ec);
-      fs::remove(WalPath(opts_.dir, g.generation), ec);
-    }
-  }
-  manifest_ = std::move(m);
-  generation_ = next;
-  max_gen_seen_ = std::max(max_gen_seen_, next);
 }
 
 }  // namespace rlc

@@ -1,36 +1,14 @@
-// Crash-safe durability for a dynamically maintained RLC index.
-//
-// A DurableDynamicIndex wraps DynamicRlcIndex with a write-ahead log and
-// generation-numbered snapshots inside one directory:
+// Durability building blocks shared by the durable ShardedRlcService
+// (serve/sharded_service.h; design and formats in docs/durability.md):
+// the durability options, the recovery report, and the checksummed
+// snapshot file the service writes once per shard (with the shard's
+// embedded index) and once for its overlay bookkeeping (no index):
 //
 //   <dir>/MANIFEST            retained generations, newest first (index_io.h)
-//   <dir>/snapshot-<G>.snap   state as of the generation-G checkpoint
-//   <dir>/wal-<G>.log         mutation batches acknowledged after it
+//   <dir>/wal-<G>.log         mutation batches acknowledged after gen G (wal.h)
+//   <dir>/gen-<G>/{service.snap, shard-<i>.snap}
 //
-// Every ApplyUpdates batch is appended (write + fsync) to the current WAL
-// *before* it touches the in-memory index, so an acknowledged batch — one
-// whose ApplyUpdates returned — survives any crash. A checkpoint writes the
-// full state to snapshot-<G+1>.snap via atomic tmp+rename, switches the WAL
-// to wal-<G+1>.log, then commits the manifest (another atomic rename): the
-// manifest commit is the single instant the new generation becomes the
-// recovery target. Generations beyond DurabilityOptions::keep_generations
-// are deleted only after the commit that drops them.
-//
-// Recovery walks the manifest newest-first, loads the first snapshot that
-// parses and checksums cleanly (a torn or byte-flipped newest generation
-// degrades to the previous one), then replays every wal-<G'>.log with
-// G' >= the chosen generation in ascending order. Replay is LSN-gated —
-// records with lsn <= the snapshot's applied_lsn are skipped — so batches
-// already folded into the snapshot are never applied twice, and batches
-// acknowledged into a newer (unusable) generation's WAL are still found.
-// Torn trailing WAL records fail their checksum and are dropped (wal.h);
-// because the WAL is fsynced before acknowledgement, dropped bytes can only
-// belong to a batch whose ApplyUpdates never returned. The constructor ends
-// every open — fresh build or recovery — with a checkpoint, so the store is
-// always at a clean generation boundary afterwards.
-//
-// Snapshot file format, little-endian (shared with the per-shard service
-// snapshots, sharded_service.h):
+// Snapshot file format, little-endian:
 //
 //   u64 magic  u32 version  u64 applied_lsn
 //   u64 inserted count, count * (u32 src, u32 label, u32 dst, u8 op)
@@ -43,14 +21,10 @@
 // no maintenance re-run. The index bytes get their own full checksum here
 // (the index format only checksums its signature section): any single
 // flipped byte in a snapshot is detected, never served.
-//
-// Thread contract: same as DynamicRlcIndex — one owner thread mutates.
 
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -58,7 +32,6 @@
 
 #include "rlc/core/dynamic_index.h"
 #include "rlc/core/index_io.h"
-#include "rlc/core/wal.h"
 
 namespace rlc {
 
@@ -73,9 +46,9 @@ struct DurabilityOptions {
   uint32_t keep_generations = 2;
 };
 
-/// What the constructor found on disk.
+/// What a durable open found on disk.
 struct RecoveryInfo {
-  bool recovered = false;        ///< false: fresh store, index built anew
+  bool recovered = false;        ///< false: fresh store, indexes built anew
   uint64_t generation = 0;       ///< snapshot generation loaded
   uint64_t snapshot_lsn = 0;     ///< applied_lsn of that snapshot
   uint64_t replayed_records = 0; ///< WAL batches applied on top
@@ -105,8 +78,7 @@ void WriteSnapshotFile(const std::string& path, uint64_t applied_lsn,
 /// embedded index that fails its own validation) — never UB.
 LoadedSnapshot LoadSnapshotFile(const std::string& path);
 
-/// Snapshot/WAL file names for generation `gen` inside a durability dir.
-std::string SnapshotPath(const std::string& dir, uint64_t gen);
+/// WAL file name for generation `gen` inside a durability dir.
 std::string WalPath(const std::string& dir, uint64_t gen);
 
 /// Generation numbers of the `<prefix><G><suffix>` entries in `dir`,
@@ -114,70 +86,5 @@ std::string WalPath(const std::string& dir, uint64_t gen);
 std::vector<uint64_t> ListGenerationFiles(const std::string& dir,
                                           const std::string& prefix,
                                           const std::string& suffix);
-
-/// A DynamicRlcIndex whose acknowledged mutations survive crashes.
-class DurableDynamicIndex {
- public:
-  /// Opens the store in `opts.dir`. When the directory holds a durable
-  /// state, recovers it (newest usable generation + WAL replay) and
-  /// `build_base` is never called; otherwise builds the index with
-  /// `build_base` (must return a sealed index of exactly `g`). Either way
-  /// the constructor finishes with a checkpoint.
-  /// \throws std::runtime_error when the directory cannot be used, or when
-  ///         a manifest lists generations but none of them is loadable
-  ///         (durable state exists but is beyond recovery — refusing is
-  ///         better than silently rebuilding an empty store over it).
-  DurableDynamicIndex(const DiGraph& g, DurabilityOptions opts,
-                      const std::function<RlcIndex()>& build_base,
-                      ResealPolicy policy = {});
-  ~DurableDynamicIndex();
-
-  DurableDynamicIndex(const DurableDynamicIndex&) = delete;
-  DurableDynamicIndex& operator=(const DurableDynamicIndex&) = delete;
-
-  /// Logs the batch (write + fsync), applies it, and may auto-checkpoint.
-  /// On return the batch is durable. \throws std::runtime_error when the
-  /// WAL append fails — the in-memory index is then untouched and the
-  /// batch is NOT acknowledged.
-  size_t ApplyUpdates(std::span<const EdgeUpdate> updates);
-
-  /// Writes generation current+1: snapshot, WAL switch, manifest commit,
-  /// old-generation cleanup. \throws std::runtime_error on I/O failure or
-  /// an injected fault; the previous generation then remains the recovery
-  /// target and the store stays usable.
-  void Checkpoint();
-
-  DynamicRlcIndex& dynamic() { return *dyn_; }
-  const DynamicRlcIndex& dynamic() const { return *dyn_; }
-  const RlcIndex& index() const { return dyn_->index(); }
-  bool Query(VertexId s, VertexId t, const LabelSeq& constraint) const {
-    return dyn_->Query(s, t, constraint);
-  }
-
-  /// LSN of the last acknowledged batch (0 before any).
-  uint64_t last_lsn() const { return last_lsn_; }
-  /// Current (newest committed) snapshot generation.
-  uint64_t generation() const { return generation_; }
-  /// Bytes appended to the current generation's WAL.
-  uint64_t wal_bytes() const { return wal_.bytes_appended(); }
-
-  const RecoveryInfo& recovery_info() const { return recovery_; }
-  const DurabilityOptions& options() const { return opts_; }
-
- private:
-  void Recover(const std::function<RlcIndex()>& build_base,
-               const ResealPolicy& policy);
-  void ReplayWalTail(uint64_t from_gen);
-
-  const DiGraph& g_;
-  DurabilityOptions opts_;
-  std::unique_ptr<DynamicRlcIndex> dyn_;
-  WalWriter wal_;
-  DurabilityManifest manifest_;
-  uint64_t last_lsn_ = 0;
-  uint64_t generation_ = 0;  ///< newest committed generation (0 = none yet)
-  uint64_t max_gen_seen_ = 0;  ///< highest generation ever on disk
-  RecoveryInfo recovery_;
-};
 
 }  // namespace rlc

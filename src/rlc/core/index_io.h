@@ -111,7 +111,7 @@ RlcIndex LoadIndex(const std::string& path);
 void AtomicWriteFile(const std::string& path, std::string_view bytes,
                      const char* failpoint_site = "index_io.save");
 
-/// One durable snapshot generation of a store (durable_index.h).
+/// One durable snapshot generation of a store (docs/durability.md).
 struct SnapshotGeneration {
   uint64_t generation = 0;
   uint64_t applied_lsn = 0;  ///< last mutation batch folded into the snapshot
@@ -136,7 +136,7 @@ inline constexpr const char* kManifestFileName = "MANIFEST";
 
 /// Reads `<dir>/MANIFEST`. A missing file returns an empty manifest (a
 /// fresh store); a malformed one throws std::runtime_error naming the file
-/// — callers degrade to a directory scan (durable_index.h).
+/// — callers degrade to a directory scan of the `gen-<G>` directories.
 DurabilityManifest ReadManifest(const std::string& dir);
 
 /// Atomically commits `<dir>/MANIFEST` (failpoint site "manifest.commit").

@@ -1,6 +1,6 @@
 // Write-ahead log of edge mutations.
 //
-// The durability layer (durable_index.h, sharded_service.h) appends every
+// The durable service (serve/sharded_service.h) appends every
 // acknowledged EdgeUpdate batch here *before* applying it, so a crash at
 // any instant loses nothing that was acknowledged: recovery loads the
 // newest valid snapshot generation and replays the WAL tail.

@@ -304,17 +304,7 @@ void ShardedRlcService::LoadGeneration(uint64_t gen) {
   std::vector<std::string> shard_errors(num_shards);
   auto load_shard = [&](uint32_t shard) {
     try {
-      const std::string path =
-          gdir + "/shard-" + std::to_string(shard) + ".snap";
-      LoadedSnapshot snap = LoadSnapshotFile(path);
-      if (!snap.index) {
-        throw std::runtime_error(path + " has no embedded index");
-      }
-      auto dyn = std::make_unique<DynamicRlcIndex>(
-          partition_.shard(shard).graph, std::move(*snap.index),
-          options_.reseal);
-      dyn->RestoreOverlay(snap.inserted, snap.removed);
-      shard_dyn_[shard] = std::move(dyn);
+      shard_dyn_[shard] = LoadShardSnapshot(gen, shard);
     } catch (const std::exception& e) {
       shard_errors[shard] = e.what();
     }
@@ -353,6 +343,25 @@ void ShardedRlcService::LoadGeneration(uint64_t gen) {
     }
   }
   last_lsn_ = meta.applied_lsn;
+}
+
+std::unique_ptr<DynamicRlcIndex> ShardedRlcService::LoadShardSnapshot(
+    uint64_t gen, uint32_t shard, uint64_t* applied_lsn) const {
+  const std::string path =
+      GenDir(gen) + "/shard-" + std::to_string(shard) + ".snap";
+  LoadedSnapshot snap = LoadSnapshotFile(path);
+  if (!snap.index) throw std::runtime_error(path + " has no embedded index");
+  if (snap.index->k() != options_.indexer.k) {
+    throw std::runtime_error(
+        path + " holds an index built with k=" +
+        std::to_string(snap.index->k()) + ", the service was opened with k=" +
+        std::to_string(options_.indexer.k));
+  }
+  auto dyn = std::make_unique<DynamicRlcIndex>(
+      partition_.shard(shard).graph, std::move(*snap.index), options_.reseal);
+  dyn->RestoreOverlay(snap.inserted, snap.removed);
+  if (applied_lsn != nullptr) *applied_lsn = snap.applied_lsn;
+  return dyn;
 }
 
 void ShardedRlcService::ReplayServiceWal(uint64_t from_gen) {
@@ -1216,21 +1225,15 @@ void ShardedRlcService::ReviveShard(uint32_t shard) {
   // when a record straddles the snapshot.
   if (wal_.is_open() && generation_ > 0) {
     try {
-      const std::string path =
-          GenDir(generation_) + "/shard-" + std::to_string(shard) + ".snap";
-      LoadedSnapshot snap = LoadSnapshotFile(path);
-      if (!snap.index) {
-        throw std::runtime_error(path + " has no embedded index");
-      }
-      auto dyn = std::make_unique<DynamicRlcIndex>(
-          shard_graph, std::move(*snap.index), options_.reseal);
-      dyn->RestoreOverlay(snap.inserted, snap.removed);
+      uint64_t snapshot_lsn = 0;
+      std::unique_ptr<DynamicRlcIndex> dyn =
+          LoadShardSnapshot(generation_, shard, &snapshot_lsn);
       const std::string& dir = options_.durability.dir;
       for (const uint64_t gen : ListGenerationFiles(dir, "wal-", ".log")) {
         if (gen < generation_) continue;
         const WalReadResult res = ReadWalFile(WalPath(dir, gen));
         for (const WalRecord& record : res.records) {
-          if (record.lsn <= snap.applied_lsn) continue;
+          if (record.lsn <= snapshot_lsn) continue;
           if (record.lsn > last_lsn_) break;  // beyond the applied state
           for (const EdgeUpdate& e : record.updates) {
             if (partition_.ShardOf(e.src) != shard ||

@@ -98,16 +98,19 @@ struct ServiceOptions {
   /// Reseal policy for the dynamically maintained shard indexes (only
   /// relevant once ApplyUpdates has been called).
   ResealPolicy reseal;
-  /// Crash-safe durability (durable_index.h). With `durability.dir` set the
+  /// Crash-safe durability (docs/durability.md). With `durability.dir` set the
   /// service logs every ApplyUpdates batch to a WAL before applying it and
   /// checkpoints generation-numbered snapshot directories:
   ///   <dir>/MANIFEST, <dir>/wal-<G>.log,
   ///   <dir>/gen-<G>/{service.snap, shard-<i>.snap}
   /// When the directory already holds a durable state, the constructor
   /// recovers it — per-shard snapshots load in parallel on the build pool,
-  /// skipping every index build — and replays the WAL tail. Composition
-  /// caches are not persisted: transition rows and frontiers rebuild
-  /// lazily after a restart. Empty dir (default) disables durability.
+  /// skipping every index build — and replays the WAL tail. A generation
+  /// whose shard indexes were built with another `indexer.k` is refused.
+  /// Composition caches are not persisted: transition rows and frontiers
+  /// rebuild lazily after a restart. A 1-shard durable service is the
+  /// single-index store (`rlc_tool recover`). Empty dir (default)
+  /// disables durability.
   DurabilityOptions durability;
   /// Default per-batch execution budget for Execute(batch) in nanoseconds
   /// (0 = none); overridable per call via ExecuteLimits. When the budget
@@ -244,7 +247,7 @@ class ShardedRlcService {
 
   /// Re-adopts one shard after its breaker tripped: in durable mode the
   /// shard index reloads from the newest snapshot generation and replays
-  /// the intra-shard WAL tail (PR 6's recovery path, scoped to one shard);
+  /// the intra-shard WAL tail (recovery's loader, scoped to one shard);
   /// otherwise it rebuilds from the partition's shard graph and re-applies
   /// the live mutation overlay. Either way the fresh index answers exactly
   /// on the current mutated graph, the constraint memo flushes (its MR ids
@@ -256,9 +259,9 @@ class ShardedRlcService {
   void ReviveShard(uint32_t shard);
 
   /// Durable mode only: checkpoints a new snapshot generation (per-shard +
-  /// service meta + compose-cache files, WAL switch, manifest commit,
-  /// stale generation cleanup). Called automatically when the current WAL
-  /// passes DurabilityOptions::checkpoint_wal_bytes. \throws
+  /// service meta files, WAL switch, manifest commit, stale generation
+  /// cleanup). Called automatically when the current WAL passes
+  /// DurabilityOptions::checkpoint_wal_bytes. \throws
   /// std::runtime_error on I/O failure or an injected fault — the previous
   /// generation then stays the recovery target and the service remains
   /// usable; throws std::logic_error when durability is off.
@@ -382,6 +385,15 @@ class ShardedRlcService {
   /// Loads one generation directory into the service, or throws. The
   /// caller resets partial state on failure.
   void LoadGeneration(uint64_t gen);
+
+  /// Adopts gen-<gen>/shard-<shard>.snap as that shard's dynamic index —
+  /// the one snapshot loader of recovery and ReviveShard — and stores the
+  /// snapshot's applied_lsn in `*applied_lsn` when given. \throws std::runtime_error
+  /// naming the file when it is unreadable, embeds no index, or embeds one
+  /// built with another recursion bound than options_.indexer.k (its MR
+  /// tables could not answer the accepted constraints).
+  std::unique_ptr<DynamicRlcIndex> LoadShardSnapshot(
+      uint64_t gen, uint32_t shard, uint64_t* applied_lsn = nullptr) const;
 
   /// Replays wal-<G'>.log for every G' >= from_gen, LSN-gated.
   void ReplayServiceWal(uint64_t from_gen);

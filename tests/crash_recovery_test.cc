@@ -1,24 +1,28 @@
-// Crash-safety of the durability layer, proved by killing the process.
+// Crash-safety of the durable store, proved by killing the process.
 //
-// The tentpole is the fork harness: for EVERY failpoint on the persist path
+// The store is a ShardedRlcService with durability.dir set; every case runs
+// at 1 shard (the single-index store) and at 3 shards. The tentpole is the
+// fork harness: for EVERY failpoint on the persist path
 // (failpoints::kPersistPath) a child process runs a seeded mutation
-// workload against a DurableDynamicIndex — or a full ShardedRlcService —
-// with that failpoint armed as `crash` (_exit mid-syscall, the user-space
-// stand-in for power loss), reporting each acknowledgement through a pipe.
-// The parent then recovers the store and checks the recovered state is
-// base + exactly the first n workload updates for some n between the last
-// acknowledged batch and the last attempted one: no acknowledged update is
-// ever lost and no partial batch is ever visible, differentially against a
-// from-scratch oracle build on the prefix-mutated graph.
+// workload against the store with that failpoint armed as `crash` (_exit
+// mid-syscall, the user-space stand-in for power loss), reporting each
+// acknowledgement through a pipe. The parent then recovers the store and
+// checks the recovered state is base + exactly the first n workload
+// updates for some n between the last acknowledged batch and the last
+// attempted one: no acknowledged update is ever lost and no partial batch
+// is ever visible — edge-exact over the shard overlays plus the cross-shard
+// edges, and answer-exact against a from-scratch oracle build on the
+// prefix-mutated graph.
 //
 // Around it: WAL round-trip/torn-tail/rollback units, injected-error
 // (ENOSPC, short write) probes that must leave the store usable, recovery
 // fallback to the previous generation when the newest is corrupt, refusal
-// to silently rebuild over an unloadable store, and a byte-flip fuzz over
-// whole store directories — every flip either recovers a clean workload
-// prefix or throws; never UB, never a wrong answer. Tests named *Deep* run
-// as a separate slow-labeled ctest entry (nightly); the rest stay in the
-// per-PR suite.
+// to silently rebuild over an unloadable store (a corrupt one, one written
+// with another recursion bound, or the retired single-file layout), and a
+// byte-flip fuzz over every file of whole store directories — every flip
+// either recovers a clean workload prefix or throws; never UB, never a
+// wrong answer. Tests named *Deep* run as a separate slow-labeled ctest
+// entry (nightly); the rest stay in the per-PR suite.
 
 #include <sys/wait.h>
 #include <unistd.h>
@@ -31,7 +35,9 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <map>
 #include <span>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -128,13 +134,21 @@ std::vector<Edge> PrefixEdges(const DiGraph& g,
   return current;
 }
 
-/// Recovered state == base + first `n` updates, edge-exact and answer-exact
-/// against a from-scratch oracle build.
-void ExpectStateIsPrefix(const DurableDynamicIndex& store, const DiGraph& g,
+/// Recovered state == base + first `n` updates: edge-exact (every shard's
+/// mutated edges mapped to global ids, plus the cross-shard edges) and,
+/// with `probe_queries`, answer-exact against a from-scratch oracle build.
+void ExpectStateIsPrefix(ShardedRlcService& store, const DiGraph& g,
                          std::span<const EdgeUpdate> updates, size_t n,
                          bool probe_queries = true) {
   const std::vector<Edge> want = PrefixEdges(g, updates, n);
-  std::vector<Edge> got = store.dynamic().MaterializedEdges();
+  const GraphPartition& partition = store.partition();
+  std::vector<Edge> got = partition.cross_edges();
+  for (uint32_t s = 0; s < partition.num_shards(); ++s) {
+    for (const Edge& e : store.shard_dynamic(s).MaterializedEdges()) {
+      got.push_back({partition.GlobalOf(s, e.src), partition.GlobalOf(s, e.dst),
+                     e.label});
+    }
+  }
   std::sort(got.begin(), got.end());
   ASSERT_EQ(got, want) << "recovered edge set is not the prefix of length "
                        << n;
@@ -142,8 +156,8 @@ void ExpectStateIsPrefix(const DurableDynamicIndex& store, const DiGraph& g,
   const DiGraph mutated(g.num_vertices(), want, g.num_labels(),
                         /*dedup_parallel=*/false);
   const RlcIndex oracle = BuildSealed(mutated);
-  Rng rng(0xDD + n);
-  for (int probe = 0; probe < 300; ++probe) {
+  Rng rng(0xEE + n);
+  for (int probe = 0; probe < 400; ++probe) {
     const auto s = static_cast<VertexId>(rng.Below(g.num_vertices()));
     const auto t = static_cast<VertexId>(rng.Below(g.num_vertices()));
     const LabelSeq c = RandomPrimitiveSeq(1 + rng.Below(2), g.num_labels(), rng);
@@ -152,11 +166,33 @@ void ExpectStateIsPrefix(const DurableDynamicIndex& store, const DiGraph& g,
   }
 }
 
-DurabilityOptions StoreOptions(const std::string& dir) {
-  DurabilityOptions opts;
-  opts.dir = dir;
-  opts.checkpoint_wal_bytes = 0;  // tests checkpoint explicitly
-  return opts;
+ServiceOptions StoreOptions(const std::string& dir, uint32_t shards,
+                            uint32_t k = 2) {
+  ServiceOptions options;
+  options.partition.num_shards = shards;
+  options.indexer.k = k;
+  options.build_threads = 2;
+  options.durability.dir = dir;
+  options.durability.checkpoint_wal_bytes = 0;  // tests checkpoint explicitly
+  return options;
+}
+
+std::string GenFile(const std::string& dir, uint64_t gen,
+                    const std::string& name) {
+  return dir + "/gen-" + std::to_string(gen) + "/" + name;
+}
+
+/// Every regular file under `dir` (relative path -> bytes).
+std::map<std::string, std::string> DirContents(const std::string& dir) {
+  std::map<std::string, std::string> out;
+  for (const auto& entry : fs::recursive_directory_iterator(dir)) {
+    if (!entry.is_regular_file()) continue;
+    std::ifstream in(entry.path(), std::ios::binary);
+    std::ostringstream bytes;
+    bytes << in.rdbuf();
+    out[fs::relative(entry.path(), dir).string()] = bytes.str();
+  }
+  return out;
 }
 
 void FlipByte(const std::string& path, size_t offset, uint8_t mask) {
@@ -170,6 +206,7 @@ void FlipByte(const std::string& path, size_t offset, uint8_t mask) {
   b = static_cast<char>(b ^ mask);
   f.write(&b, 1);
 }
+
 
 // ---------------------------------------------------------------------------
 // Failpoint registry units.
@@ -260,15 +297,30 @@ TEST(WalTest, RoundTripTornTailAndRollback) {
 }
 
 // ---------------------------------------------------------------------------
-// DurableDynamicIndex: reopen, generations, fallback.
+// The durable store at 1 shard (the single-index store) and at 3 shards.
 
-TEST(DurableIndexTest, FreshBuildThenReopenRecoversEverything) {
-  const DiGraph g = TestGraph();
+class DurableStoreTest : public ::testing::TestWithParam<uint32_t> {
+ protected:
+  uint32_t shards() const { return GetParam(); }
+  ServiceOptions Options(const std::string& dir, uint32_t k = 2) const {
+    return StoreOptions(dir, shards(), k);
+  }
+};
+
+std::string ShardsName(const ::testing::TestParamInfo<uint32_t>& info) {
+  return "Shards" + std::to_string(info.param);
+}
+
+INSTANTIATE_TEST_SUITE_P(Store, DurableStoreTest, ::testing::Values(1u, 3u),
+                         ShardsName);
+
+TEST_P(DurableStoreTest, FreshBuildThenReopenRecoversEverything) {
+  const DiGraph g = TestGraph(60, 240, 3, 0x5EED);
   const auto updates = MakeWorkload(g, 12, 0x22);
   const std::string dir = TempDir("reopen");
   {
-    DurableDynamicIndex store(g, StoreOptions(dir),
-                              [&] { return BuildSealed(g); });
+    ShardedRlcService store(g, Options(dir));
+    EXPECT_TRUE(store.durable());
     EXPECT_FALSE(store.recovery_info().recovered);
     EXPECT_EQ(store.generation(), 1u);
     for (size_t i = 0; i < updates.size(); ++i) {
@@ -276,82 +328,83 @@ TEST(DurableIndexTest, FreshBuildThenReopenRecoversEverything) {
       if (i == 5) store.Checkpoint();
     }
     EXPECT_EQ(store.last_lsn(), updates.size());
+    ExpectStateIsPrefix(store, g, updates, updates.size());
   }
-  bool built = false;
-  DurableDynamicIndex store(g, StoreOptions(dir), [&] {
-    built = true;
-    return BuildSealed(g);
-  });
-  EXPECT_FALSE(built) << "recovery must not rebuild the index";
+  // A recovered open adopts the snapshots and never builds an index.
+  ShardedRlcService store(g, Options(dir));
   EXPECT_TRUE(store.recovery_info().recovered);
   EXPECT_FALSE(store.recovery_info().fell_back);
   EXPECT_EQ(store.last_lsn(), updates.size());
   // The tail after the mid-stream checkpoint came back through WAL replay.
   EXPECT_EQ(store.recovery_info().replayed_records, updates.size() - 6);
+  // Cross-shard probes exercise the recovered composition engine, which
+  // starts cold and rebuilds its transition rows lazily.
   ExpectStateIsPrefix(store, g, updates, updates.size());
   fs::remove_all(dir);
 }
 
-TEST(DurableIndexTest, AutoCheckpointAdvancesGenerations) {
+TEST_P(DurableStoreTest, AutoCheckpointAdvancesGenerations) {
   const DiGraph g = TestGraph();
   const auto updates = MakeWorkload(g, 6, 0x33);
   const std::string dir = TempDir("autock");
-  DurabilityOptions opts = StoreOptions(dir);
-  opts.checkpoint_wal_bytes = 1;  // every batch triggers a checkpoint
-  DurableDynamicIndex store(g, opts, [&] { return BuildSealed(g); });
+  ServiceOptions opts = Options(dir);
+  opts.durability.checkpoint_wal_bytes = 1;  // every batch checkpoints
+  ShardedRlcService store(g, opts);
   const uint64_t gen0 = store.generation();
   for (const EdgeUpdate& u : updates) store.ApplyUpdates(std::span(&u, 1));
   EXPECT_EQ(store.generation(), gen0 + updates.size());
-  // Retention: only keep_generations snapshots remain on disk.
-  EXPECT_EQ(ListGenerationFiles(dir, "snapshot-", ".snap").size(),
-            StoreOptions(dir).keep_generations);
+  // Retention: only keep_generations generation directories and WALs
+  // remain on disk.
+  EXPECT_EQ(ListGenerationFiles(dir, "gen-", "").size(),
+            opts.durability.keep_generations);
+  EXPECT_EQ(ListGenerationFiles(dir, "wal-", ".log").size(),
+            opts.durability.keep_generations);
   ExpectStateIsPrefix(store, g, updates, updates.size(), false);
   fs::remove_all(dir);
 }
 
-TEST(DurableIndexTest, CorruptNewestSnapshotFallsBackOneGeneration) {
+TEST_P(DurableStoreTest, CorruptNewestSnapshotFallsBackOneGeneration) {
   const DiGraph g = TestGraph();
   const auto updates = MakeWorkload(g, 10, 0x44);
-  const std::string dir = TempDir("fallback");
-  uint64_t newest = 0;
-  {
-    DurableDynamicIndex store(g, StoreOptions(dir),
-                              [&] { return BuildSealed(g); });
-    for (size_t i = 0; i < updates.size(); ++i) {
-      store.ApplyUpdates(std::span(&updates[i], 1));
-      if (i == 6) store.Checkpoint();
+  // Either snapshot kind of the newest generation may be the corrupt one.
+  for (const char* victim : {"service.snap", "shard-0.snap"}) {
+    SCOPED_TRACE(victim);
+    const std::string dir = TempDir("fallback");
+    uint64_t newest = 0;
+    {
+      ShardedRlcService store(g, Options(dir));
+      for (size_t i = 0; i < updates.size(); ++i) {
+        store.ApplyUpdates(std::span(&updates[i], 1));
+        if (i == 6) store.Checkpoint();
+      }
+      store.Checkpoint();
+      newest = store.generation();
     }
-    store.Checkpoint();
-    // Acknowledge two more batches into the newest generation's WAL... no:
-    // the workload is spent; the tail case is covered by the mid-stream
-    // checkpoint above. Remember which snapshot to corrupt.
-    newest = store.generation();
+    const std::string path = GenFile(dir, newest, victim);
+    FlipByte(path, fs::file_size(path) / 2, 0x08);
+    ShardedRlcService store(g, Options(dir));
+    EXPECT_TRUE(store.recovery_info().recovered);
+    EXPECT_TRUE(store.recovery_info().fell_back);
+    EXPECT_LT(store.recovery_info().generation, newest);
+    // The older generation's WAL replays the rest: nothing acknowledged is
+    // lost.
+    EXPECT_EQ(store.last_lsn(), updates.size());
+    ExpectStateIsPrefix(store, g, updates, updates.size());
+    fs::remove_all(dir);
   }
-  FlipByte(SnapshotPath(dir, newest), 200, 0x08);
-  DurableDynamicIndex store(g, StoreOptions(dir),
-                            [&] { return BuildSealed(g); });
-  EXPECT_TRUE(store.recovery_info().recovered);
-  EXPECT_TRUE(store.recovery_info().fell_back);
-  EXPECT_LT(store.recovery_info().generation, newest);
-  // The newer generation's WAL still replays: nothing acknowledged is lost.
-  EXPECT_EQ(store.last_lsn(), updates.size());
-  ExpectStateIsPrefix(store, g, updates, updates.size());
-  fs::remove_all(dir);
 }
 
-TEST(DurableIndexTest, CorruptManifestFallsBackToDirectoryScan) {
+TEST_P(DurableStoreTest, CorruptManifestFallsBackToDirectoryScan) {
   const DiGraph g = TestGraph();
   const auto updates = MakeWorkload(g, 8, 0x55);
   const std::string dir = TempDir("manifest");
   {
-    DurableDynamicIndex store(g, StoreOptions(dir),
-                              [&] { return BuildSealed(g); });
+    ShardedRlcService store(g, Options(dir));
     for (const EdgeUpdate& u : updates) store.ApplyUpdates(std::span(&u, 1));
     store.Checkpoint();
   }
   FlipByte(dir + "/" + std::string(kManifestFileName), 3, 0xFF);
-  DurableDynamicIndex store(g, StoreOptions(dir),
-                            [&] { return BuildSealed(g); });
+  ShardedRlcService store(g, Options(dir));
   EXPECT_TRUE(store.recovery_info().recovered);
   EXPECT_TRUE(store.recovery_info().fell_back);
   EXPECT_FALSE(store.recovery_info().fallback_reason.empty());
@@ -360,22 +413,68 @@ TEST(DurableIndexTest, CorruptManifestFallsBackToDirectoryScan) {
   fs::remove_all(dir);
 }
 
-TEST(DurableIndexTest, UnrecoverableStoreThrowsInsteadOfRebuilding) {
+TEST_P(DurableStoreTest, UnrecoverableStoreThrowsInsteadOfRebuilding) {
   const DiGraph g = TestGraph();
   const auto updates = MakeWorkload(g, 4, 0x66);
   const std::string dir = TempDir("unrecoverable");
   {
-    DurableDynamicIndex store(g, StoreOptions(dir),
-                              [&] { return BuildSealed(g); });
+    ShardedRlcService store(g, Options(dir));
     for (const EdgeUpdate& u : updates) store.ApplyUpdates(std::span(&u, 1));
     store.Checkpoint();
   }
-  for (const uint64_t gen : ListGenerationFiles(dir, "snapshot-", ".snap")) {
-    FlipByte(SnapshotPath(dir, gen), 64, 0xFF);
+  for (const uint64_t gen : ListGenerationFiles(dir, "gen-", "")) {
+    FlipByte(GenFile(dir, gen, "shard-0.snap"), 64, 0xFF);
   }
-  EXPECT_THROW(DurableDynamicIndex(g, StoreOptions(dir),
-                                   [&] { return BuildSealed(g); }),
-               std::runtime_error);
+  EXPECT_THROW(ShardedRlcService(g, Options(dir)), std::runtime_error);
+  fs::remove_all(dir);
+}
+
+TEST_P(DurableStoreTest, WrongRecursionBoundIsRefused) {
+  // Shard indexes built with k=2 cannot answer length-3 constraints; a k=3
+  // open must refuse the store rather than answer them wrongly.
+  const DiGraph g = TestGraph();
+  const auto updates = MakeWorkload(g, 6, 0x67);
+  const std::string dir = TempDir("wrongk");
+  {
+    ShardedRlcService store(g, Options(dir, 2));
+    for (const EdgeUpdate& u : updates) store.ApplyUpdates(std::span(&u, 1));
+  }
+  const auto before = DirContents(dir);
+  EXPECT_THROW(ShardedRlcService(g, Options(dir, 3)), std::runtime_error);
+  EXPECT_EQ(DirContents(dir), before) << "a refused open wrote to the store";
+  ShardedRlcService store(g, Options(dir, 2));
+  EXPECT_TRUE(store.recovery_info().recovered);
+  EXPECT_FALSE(store.recovery_info().fell_back);
+  EXPECT_EQ(store.last_lsn(), updates.size());
+  ExpectStateIsPrefix(store, g, updates, updates.size());
+  fs::remove_all(dir);
+}
+
+TEST_P(DurableStoreTest, LegacySingleFileLayoutIsRefusedAndLeftUntouched) {
+  // The retired single-index layout kept one snapshot file per generation
+  // beside MANIFEST; no migration exists, and the data must survive the
+  // refusal byte for byte.
+  const DiGraph g = TestGraph();
+  const std::string dir = TempDir("legacy");
+  const RlcIndex index = BuildSealed(g);
+  WriteSnapshotFile(dir + "/snapshot-1.snap", 0, {}, {}, &index);
+  DurabilityManifest manifest;
+  manifest.generations.push_back({1, 0});
+  CommitManifest(dir, manifest);
+  std::ofstream(WalPath(dir, 1), std::ios::binary).flush();
+  const auto before = DirContents(dir);
+  ASSERT_EQ(before.size(), 3u);
+  try {
+    ShardedRlcService store(g, Options(dir));
+    ADD_FAILURE() << "a legacy-layout store was opened";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("no usable snapshot generation"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(DirContents(dir), before);
+  EXPECT_EQ(std::distance(fs::directory_iterator(dir), fs::directory_iterator()),
+            3);
   fs::remove_all(dir);
 }
 
@@ -383,7 +482,7 @@ TEST(DurableIndexTest, UnrecoverableStoreThrowsInsteadOfRebuilding) {
 // Injected errors (ENOSPC, short writes) must fail the operation cleanly
 // and leave the store usable and recoverable — no acknowledged state lost.
 
-TEST(DurableIndexTest, InjectedErrorAtEveryPersistFailpointIsRecoverable) {
+TEST_P(DurableStoreTest, InjectedErrorAtEveryPersistFailpointIsRecoverable) {
   const DiGraph g = TestGraph();
   const auto updates = MakeWorkload(g, 6, 0x77);
   for (const char* name : failpoints::kPersistPath) {
@@ -391,8 +490,7 @@ TEST(DurableIndexTest, InjectedErrorAtEveryPersistFailpointIsRecoverable) {
     const std::string dir = TempDir("err");
     size_t acked = 0;
     {
-      DurableDynamicIndex store(g, StoreOptions(dir),
-                                [&] { return BuildSealed(g); });
+      ShardedRlcService store(g, Options(dir));
       Failpoints::Instance().Set(name, FailpointAction::kError);
       bool failed = false;
       for (const EdgeUpdate& u : updates) {
@@ -416,15 +514,14 @@ TEST(DurableIndexTest, InjectedErrorAtEveryPersistFailpointIsRecoverable) {
       ExpectStateIsPrefix(store, g, updates, acked, false);
       store.Checkpoint();
     }
-    DurableDynamicIndex store(g, StoreOptions(dir),
-                              [&] { return BuildSealed(g); });
+    ShardedRlcService store(g, Options(dir));
     EXPECT_EQ(store.last_lsn(), acked);
     ExpectStateIsPrefix(store, g, updates, acked, false);
     fs::remove_all(dir);
   }
 }
 
-TEST(DurableIndexTest, ShortWriteTearsAreAbsorbed) {
+TEST_P(DurableStoreTest, ShortWriteTearsAreAbsorbed) {
   const DiGraph g = TestGraph();
   const auto updates = MakeWorkload(g, 5, 0x88);
   for (uint64_t trigger = 1; trigger <= 4; ++trigger) {
@@ -432,8 +529,7 @@ TEST(DurableIndexTest, ShortWriteTearsAreAbsorbed) {
     const std::string dir = TempDir("short");
     size_t acked = 0;
     {
-      DurableDynamicIndex store(g, StoreOptions(dir),
-                                [&] { return BuildSealed(g); });
+      ShardedRlcService store(g, Options(dir));
       Failpoints::Instance().Set("io", FailpointAction::kShortWrite, trigger);
       for (const EdgeUpdate& u : updates) {
         try {
@@ -449,8 +545,7 @@ TEST(DurableIndexTest, ShortWriteTearsAreAbsorbed) {
       }
       Failpoints::Instance().Clear();
     }
-    DurableDynamicIndex store(g, StoreOptions(dir),
-                              [&] { return BuildSealed(g); });
+    ShardedRlcService store(g, Options(dir));
     EXPECT_GE(store.last_lsn(), acked);
     ExpectStateIsPrefix(store, g, updates, store.last_lsn(), false);
     fs::remove_all(dir);
@@ -505,24 +600,31 @@ void SendReport(int fd, uint64_t acked, uint64_t sending) {
   (void)!::write(fd, &r, sizeof r);
 }
 
-TEST(CrashRecoveryTest, KillAtEveryPersistFailpoint) {
-  const DiGraph g = TestGraph();
-  const auto updates = MakeWorkload(g, 10, 0x99);
+/// For every persist-path site: a child applies `updates` one batch each
+/// (checkpointing after the batches listed in `checkpoint_after` and at the
+/// end) and crashes on the site's `trigger`-th hit; the parent recovers
+/// and checks the acknowledged prefix.
+void KillAtEveryPersistFailpoint(const DiGraph& g,
+                                 std::span<const EdgeUpdate> updates,
+                                 uint32_t shards, uint64_t trigger,
+                                 std::initializer_list<size_t> checkpoint_after) {
   for (const char* name : failpoints::kPersistPath) {
-    SCOPED_TRACE(name);
+    SCOPED_TRACE(std::string(name) + "@" + std::to_string(trigger));
     const std::string dir = TempDir("kill");
     const ChildReport last = RunCrashChild(name, [&](int fd) {
-      DurableDynamicIndex store(g, StoreOptions(dir),
-                                [&] { return BuildSealed(g); });
+      ShardedRlcService store(g, StoreOptions(dir, shards));
       // Arm after the constructor: its own checkpoint would consume the
-      // one-shot trigger before any update is in flight.
-      Failpoints::Instance().Set(name, FailpointAction::kCrash);
+      // trigger before any update is in flight.
+      Failpoints::Instance().Set(name, FailpointAction::kCrash, trigger);
       for (size_t i = 0; i < updates.size(); ++i) {
         SendReport(fd, i, i + 1);
-        store.ApplyUpdates(std::span(&updates[i], 1));
+        store.ApplyUpdates(updates.subspan(i, 1));
         SendReport(fd, i + 1, i + 1);
-        // A mid-stream checkpoint reaches the snapshot/manifest sites.
-        if (i == 4) store.Checkpoint();
+        // Mid-stream checkpoints reach the snapshot/manifest sites.
+        if (std::find(checkpoint_after.begin(), checkpoint_after.end(), i) !=
+            checkpoint_after.end()) {
+          store.Checkpoint();
+        }
       }
       store.Checkpoint();
     });
@@ -530,14 +632,9 @@ TEST(CrashRecoveryTest, KillAtEveryPersistFailpoint) {
       fs::remove_all(dir);
       return;
     }
-    // Recover. The child's constructor completed, so a durable generation
-    // exists: build_base must never run.
-    bool built = false;
-    DurableDynamicIndex store(g, StoreOptions(dir), [&] {
-      built = true;
-      return BuildSealed(g);
-    });
-    EXPECT_FALSE(built);
+    // The child's constructor completed, so a durable generation exists:
+    // the parent must recover it, not build anew.
+    ShardedRlcService store(g, StoreOptions(dir, shards));
     EXPECT_TRUE(store.recovery_info().recovered);
     const uint64_t n = store.last_lsn();
     // No acknowledged batch lost; no unattempted batch visible. (The batch
@@ -550,43 +647,35 @@ TEST(CrashRecoveryTest, KillAtEveryPersistFailpoint) {
   }
 }
 
-TEST(CrashRecoveryTest, DeepKillAtEveryFailpointRepeatedTriggers) {
+using CrashRecoveryTest = DurableStoreTest;
+INSTANTIATE_TEST_SUITE_P(Store, CrashRecoveryTest, ::testing::Values(1u, 3u),
+                         ShardsName);
+
+TEST_P(CrashRecoveryTest, KillAtEveryPersistFailpoint) {
+  const DiGraph g = TestGraph();
+  const auto updates = MakeWorkload(g, 10, 0x99);
+  KillAtEveryPersistFailpoint(g, updates, shards(), 1, {4});
+}
+
+TEST_P(CrashRecoveryTest, DeepKillAtEveryFailpointRepeatedTriggers) {
   // Crash on the Nth hit of each site, pushing the crash instant deeper
   // into the workload (later WAL appends, the second checkpoint's saves).
   const DiGraph g = TestGraph();
   const auto updates = MakeWorkload(g, 10, 0xAB);
-  for (const char* name : failpoints::kPersistPath) {
-    for (const uint64_t trigger : {2u, 3u}) {
-      SCOPED_TRACE(std::string(name) + "@" + std::to_string(trigger));
-      const std::string dir = TempDir("deepkill");
-      const ChildReport last = RunCrashChild(name, [&](int fd) {
-        DurableDynamicIndex store(g, StoreOptions(dir),
-                                  [&] { return BuildSealed(g); });
-        Failpoints::Instance().Set(name, FailpointAction::kCrash, trigger);
-        for (size_t i = 0; i < updates.size(); ++i) {
-          SendReport(fd, i, i + 1);
-          store.ApplyUpdates(std::span(&updates[i], 1));
-          SendReport(fd, i + 1, i + 1);
-          if (i == 3 || i == 7) store.Checkpoint();
-        }
-        store.Checkpoint();
-      });
-      if (::testing::Test::HasFailure()) {
-        fs::remove_all(dir);
-        return;
-      }
-      DurableDynamicIndex store(g, StoreOptions(dir),
-                                [&] { return BuildSealed(g); });
-      const uint64_t n = store.last_lsn();
-      EXPECT_GE(n, last.acked);
-      EXPECT_LE(n, last.sending);
-      ExpectStateIsPrefix(store, g, updates, n);
-      fs::remove_all(dir);
-    }
+  for (const uint64_t trigger : {2u, 3u}) {
+    KillAtEveryPersistFailpoint(g, updates, shards(), trigger, {3, 7});
   }
 }
 
-TEST(CrashRecoveryTest, EveryPersistFailpointIsActuallyOnThePath) {
+TEST_P(CrashRecoveryTest, DeepKillAtEveryPersistFailpointLargerGraph) {
+  // More vertices and edges per shard: more cross-shard edges in the
+  // service overlay and larger snapshots under the same kill loop.
+  const DiGraph g = TestGraph(60, 240, 3, 0x5EED);
+  const auto updates = MakeWorkload(g, 8, 0xEF);
+  KillAtEveryPersistFailpoint(g, updates, shards(), 1, {3});
+}
+
+TEST_P(CrashRecoveryTest, EveryPersistFailpointIsActuallyOnThePath) {
   // The fork harness iterates failpoints::kPersistPath; this guards the
   // other direction — a site that is registered but never evaluated by a
   // full mutate+checkpoint cycle means the list and the code drifted apart.
@@ -599,8 +688,7 @@ TEST(CrashRecoveryTest, EveryPersistFailpointIsActuallyOnThePath) {
     before.push_back(fp.HitCount(name));
   }
   {
-    DurableDynamicIndex store(g, StoreOptions(dir),
-                              [&] { return BuildSealed(g); });
+    ShardedRlcService store(g, Options(dir));
     for (const EdgeUpdate& u : updates) store.ApplyUpdates(std::span(&u, 1));
     store.Checkpoint();
   }
@@ -613,28 +701,27 @@ TEST(CrashRecoveryTest, EveryPersistFailpointIsActuallyOnThePath) {
 }
 
 // ---------------------------------------------------------------------------
-// Byte-flip fuzz over whole store directories: recovery either lands on a
+// Byte-flip fuzz over whole store directories (MANIFEST, WALs and every
+// snapshot inside the gen-<G>/ directories): recovery either lands on a
 // clean workload prefix or throws — never UB, never a wrong answer.
 
-void RunStoreByteFlipFuzz(int trials, uint64_t seed, bool probe_queries) {
+void RunStoreByteFlipFuzz(uint32_t shards, int trials, uint64_t seed,
+                          bool probe_queries) {
   const DiGraph g = TestGraph();
   const auto updates = MakeWorkload(g, 8, 0xCD);
   const std::string golden = TempDir("flip_golden");
   {
-    DurableDynamicIndex store(g, StoreOptions(golden),
-                              [&] { return BuildSealed(g); });
+    ShardedRlcService store(g, StoreOptions(golden, shards));
     for (size_t i = 0; i < updates.size(); ++i) {
       store.ApplyUpdates(std::span(&updates[i], 1));
       if (i == 4) store.Checkpoint();
     }
   }
   std::vector<std::string> files;
-  for (const auto& entry : fs::directory_iterator(golden)) {
-    if (entry.is_regular_file() && entry.file_size() > 0) {
-      files.push_back(entry.path().filename().string());
-    }
+  for (const auto& [name, bytes] : DirContents(golden)) {
+    if (!bytes.empty()) files.push_back(name);
   }
-  ASSERT_FALSE(files.empty());
+  ASSERT_GE(files.size(), 5u);  // MANIFEST, 2 WALs, 2 generations' snapshots
 
   Rng rng(seed);
   int recovered = 0, rejected = 0;
@@ -648,9 +735,9 @@ void RunStoreByteFlipFuzz(int trials, uint64_t seed, bool probe_queries) {
     const auto mask = static_cast<uint8_t>(1u << rng.Below(8));
     SCOPED_TRACE(victim + " offset " + std::to_string(offset) + " mask " +
                  std::to_string(mask));
+    FlipByte(dir + "/" + victim, offset, mask);
     try {
-      DurableDynamicIndex store(g, StoreOptions(dir),
-                                [&] { return BuildSealed(g); });
+      ShardedRlcService store(g, StoreOptions(dir, shards));
       const uint64_t n = store.last_lsn();
       ASSERT_LE(n, updates.size());
       ExpectStateIsPrefix(store, g, updates, n, probe_queries);
@@ -661,147 +748,18 @@ void RunStoreByteFlipFuzz(int trials, uint64_t seed, bool probe_queries) {
     fs::remove_all(dir);
   }
   // With keep_generations=2 most flips must still recover (only flipping
-  // both snapshots at once could make the store unrecoverable, and one
+  // both generations at once could make the store unrecoverable, and one
   // trial flips one byte).
   EXPECT_GT(recovered, 0);
   fs::remove_all(golden);
 }
 
-TEST(CrashRecoveryTest, ByteFlipStoreFuzz) {
-  RunStoreByteFlipFuzz(25, 0xF00D, true);
+TEST_P(CrashRecoveryTest, ByteFlipStoreFuzz) {
+  RunStoreByteFlipFuzz(shards(), 25, 0xF00D, true);
 }
 
-TEST(CrashRecoveryTest, DeepByteFlipStoreFuzz) {
-  RunStoreByteFlipFuzz(150, 0xBEEF, false);
-}
-
-// ---------------------------------------------------------------------------
-// Service durability: per-shard snapshots, one service WAL, parallel
-// recovery — same guarantees, proved the same two ways.
-
-ServiceOptions DurableServiceOptions(const std::string& dir) {
-  ServiceOptions options;
-  options.partition.num_shards = 3;
-  options.indexer.k = 2;
-  options.build_threads = 2;
-  options.durability.dir = dir;
-  options.durability.checkpoint_wal_bytes = 0;
-  return options;
-}
-
-void ExpectServiceIsPrefix(ShardedRlcService& service, const DiGraph& g,
-                           std::span<const EdgeUpdate> updates, size_t n) {
-  const std::vector<Edge> want = PrefixEdges(g, updates, n);
-  const DiGraph mutated(g.num_vertices(), want, g.num_labels(),
-                        /*dedup_parallel=*/false);
-  const RlcIndex oracle = BuildSealed(mutated);
-  Rng rng(0xEE + n);
-  for (int probe = 0; probe < 400; ++probe) {
-    const auto s = static_cast<VertexId>(rng.Below(g.num_vertices()));
-    const auto t = static_cast<VertexId>(rng.Below(g.num_vertices()));
-    const LabelSeq c = RandomPrimitiveSeq(1 + rng.Below(2), g.num_labels(), rng);
-    ASSERT_EQ(oracle.Query(s, t, c), service.Query(s, t, c))
-        << "s=" << s << " t=" << t << " L=" << c.ToString() << " n=" << n;
-  }
-}
-
-TEST(ServiceDurabilityTest, ReopenRecoversService) {
-  const DiGraph g = TestGraph(60, 240, 3, 0x5EED);
-  const auto updates = MakeWorkload(g, 12, 0xDE);
-  const std::string dir = TempDir("svc");
-  {
-    ShardedRlcService service(g, DurableServiceOptions(dir));
-    EXPECT_TRUE(service.durable());
-    EXPECT_FALSE(service.recovery_info().recovered);
-    for (size_t i = 0; i < updates.size(); ++i) {
-      service.ApplyUpdates(std::span(&updates[i], 1));
-      if (i == 5) service.Checkpoint();
-    }
-    EXPECT_EQ(service.last_lsn(), updates.size());
-    ExpectServiceIsPrefix(service, g, updates, updates.size());
-  }
-  ShardedRlcService service(g, DurableServiceOptions(dir));
-  EXPECT_TRUE(service.recovery_info().recovered);
-  EXPECT_EQ(service.last_lsn(), updates.size());
-  // Recovery must not have rebuilt shard indexes from scratch: the
-  // partition/build split is visible through stats (index_build covers
-  // recovery here, so just verify answers). Cross-shard probes inside
-  // ExpectServiceIsPrefix exercise the recovered composition engine, which
-  // starts cold and rebuilds its transition rows lazily.
-  ExpectServiceIsPrefix(service, g, updates, updates.size());
-  fs::remove_all(dir);
-}
-
-TEST(ServiceDurabilityTest, KillAtPersistFailpoints) {
-  const DiGraph g = TestGraph(60, 240, 3, 0x5EED);
-  const auto updates = MakeWorkload(g, 8, 0xEF);
-  // The service shares the WAL/snapshot/manifest code paths with the core
-  // store, which the exhaustive loop above covers; here one site per file
-  // kind proves the service wiring end to end.
-  for (const char* name :
-       {failpoints::kWalAppendBeforeWrite, failpoints::kWalAppendAfterSync,
-        failpoints::kIndexSaveBeforeRename,
-        failpoints::kManifestCommitBeforeRename,
-        failpoints::kCheckpointAfterCommit}) {
-    SCOPED_TRACE(name);
-    const std::string dir = TempDir("svckill");
-    const ChildReport last = RunCrashChild(name, [&](int fd) {
-      ShardedRlcService service(
-          g, DurableServiceOptions(dir));
-      Failpoints::Instance().Set(name, FailpointAction::kCrash);
-      for (size_t i = 0; i < updates.size(); ++i) {
-        SendReport(fd, i, i + 1);
-        service.ApplyUpdates(std::span(&updates[i], 1));
-        SendReport(fd, i + 1, i + 1);
-        if (i == 3) service.Checkpoint();
-      }
-      service.Checkpoint();
-    });
-    if (::testing::Test::HasFailure()) {
-      fs::remove_all(dir);
-      return;
-    }
-    ShardedRlcService service(
-        g, DurableServiceOptions(dir));
-    EXPECT_TRUE(service.recovery_info().recovered);
-    const uint64_t n = service.last_lsn();
-    EXPECT_GE(n, last.acked) << "acknowledged update lost";
-    EXPECT_LE(n, last.sending) << "unacknowledged future visible";
-    ExpectServiceIsPrefix(service, g, updates, n);
-    fs::remove_all(dir);
-  }
-}
-
-TEST(ServiceDurabilityTest, DeepKillAtEveryPersistFailpoint) {
-  const DiGraph g = TestGraph(60, 240, 3, 0x5EED);
-  const auto updates = MakeWorkload(g, 8, 0xEF);
-  for (const char* name : failpoints::kPersistPath) {
-    SCOPED_TRACE(name);
-    const std::string dir = TempDir("svcdeep");
-    const ChildReport last = RunCrashChild(name, [&](int fd) {
-      ShardedRlcService service(
-          g, DurableServiceOptions(dir));
-      Failpoints::Instance().Set(name, FailpointAction::kCrash);
-      for (size_t i = 0; i < updates.size(); ++i) {
-        SendReport(fd, i, i + 1);
-        service.ApplyUpdates(std::span(&updates[i], 1));
-        SendReport(fd, i + 1, i + 1);
-        if (i == 3) service.Checkpoint();
-      }
-      service.Checkpoint();
-    });
-    if (::testing::Test::HasFailure()) {
-      fs::remove_all(dir);
-      return;
-    }
-    ShardedRlcService service(
-        g, DurableServiceOptions(dir));
-    const uint64_t n = service.last_lsn();
-    EXPECT_GE(n, last.acked);
-    EXPECT_LE(n, last.sending);
-    ExpectServiceIsPrefix(service, g, updates, n);
-    fs::remove_all(dir);
-  }
+TEST_P(CrashRecoveryTest, DeepByteFlipStoreFuzz) {
+  RunStoreByteFlipFuzz(shards(), 150, 0xBEEF, false);
 }
 
 }  // namespace
